@@ -2,8 +2,15 @@
 // a dense DFG has an edge between every pair of its m nodes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -68,6 +75,46 @@ void BM_RenderSvg_Dense(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_RenderSvg_Dense)->Range(4, 64)->Complexity(benchmark::oNSquared);
+
+/// Layered DAG the shape of a served DFG: ● feeds the first of
+/// n / 8 layers of 8 activities, every activity feeds two activities
+/// of the next layer, the last layer feeds ■ — about 2n edges.
+dfg::Dfg layered_dfg(std::size_t n) {
+  constexpr std::size_t kWidth = 8;
+  const std::size_t layers = std::max<std::size_t>(1, n / kWidth);
+  const auto name = [](std::size_t l, std::size_t i) {
+    return "act" + std::to_string(l) + "_" + std::to_string(i);
+  };
+  std::map<model::Activity, std::uint64_t> nodes = {{dfg::Dfg::start_node(), 1},
+                                                    {dfg::Dfg::end_node(), 1}};
+  std::map<std::pair<model::Activity, model::Activity>, std::uint64_t> edges;
+  Xoshiro256 rng(7);
+  for (std::size_t l = 0; l < layers; ++l) {
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      nodes[name(l, i)] = 1;
+      if (l == 0) edges[{dfg::Dfg::start_node(), name(l, i)}] = 1;
+      if (l + 1 == layers) {
+        edges[{name(l, i), dfg::Dfg::end_node()}] = 1;
+      } else {
+        for (int k = 0; k < 2; ++k) edges[{name(l, i), name(l + 1, rng.below(kWidth))}] = 1;
+      }
+    }
+  }
+  return dfg::Dfg::from_parts(std::move(nodes), std::move(edges), 1);
+}
+
+/// Layout cost against node count on the layered shape: O(V + E) per
+/// barycenter sweep plus the row sorts, so the fit should come out
+/// near-linear.
+void BM_LayoutDfg(benchmark::State& state) {
+  const auto g = layered_dfg(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dfg::layout_dfg(g, nullptr));
+  }
+  state.counters["edges"] = static_cast<double>(g.edges().size());
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_LayoutDfg)->RangeMultiplier(2)->Range(64, 4096)->Complexity(benchmark::oNLogN);
 
 void BM_LayoutOnly(benchmark::State& state) {
   const auto g = dense_dfg(static_cast<std::size_t>(state.range(0)));

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Runs the ingestion + pipeline + storage + sharding + query + serve
-# benchmarks and writes BENCH_parse.json, BENCH_pipeline.json,
-# BENCH_elog.json, BENCH_shard.json, BENCH_query.json and
-# BENCH_serve.json at the repo root — the perf trajectory record future
+# Runs the ingestion + pipeline + storage + sharding + query + serve +
+# layout benchmarks and writes BENCH_parse.json, BENCH_pipeline.json,
+# BENCH_elog.json, BENCH_shard.json, BENCH_query.json,
+# BENCH_serve.json and BENCH_render.json at the repo root — the perf trajectory record future
 # PRs compare against.
 #
 #   bench/run_bench.sh [build-dir] [out-dir]
@@ -64,7 +64,8 @@ shard_raw="$(mktemp)"
 nofault_raw="$(mktemp)"
 query_raw="$(mktemp)"
 serve_raw="$(mktemp)"
-trap 'rm -f "$parse_raw" "$pipeline_raw" "$elog_raw" "$shard_raw" "$nofault_raw" "$query_raw" "$serve_raw"' EXIT
+render_raw="$(mktemp)"
+trap 'rm -f "$parse_raw" "$pipeline_raw" "$elog_raw" "$shard_raw" "$nofault_raw" "$query_raw" "$serve_raw" "$render_raw"' EXIT
 
 "$build_dir/bench/bench_parse" \
   --benchmark_format=json \
@@ -93,6 +94,13 @@ ST_ELOG_TOOL="$build_dir/examples/elog_tool" \
   --benchmark_format=json \
   --benchmark_min_time=0.2 \
   >"$query_raw"
+
+# DFG layout time against node count (BM_LayoutDfg's complexity fit).
+"$build_dir/bench/bench_render" \
+  --benchmark_filter='^BM_LayoutDfg' \
+  --benchmark_format=json \
+  --benchmark_min_time=0.2 \
+  >"$render_raw"
 
 # bench_serve is a plain main (latency distribution, not throughput —
 # see its header): it prints one JSON record; the wrapper below lifts
@@ -501,4 +509,41 @@ print(f"wrote {sys.argv[2]} (p50_us = {out['p50_us']}, p99_us = {out['p99_us']},
       f"report_warm_p50_us = {out['report_warm_p50_us']}, "
       f"cache_hit_rate = {out['cache_hit_rate']}, "
       f"requests_per_second = {out['requests_per_second']})")
+EOF
+
+# BENCH_render.json layout:
+#   {
+#     "layout_complexity": {"big_o": <fitted class, e.g. "NlgN">,
+#         "real_coefficient": <ns per unit of the class>,
+#         "rms": <relative RMS error of the fit>} — BM_LayoutDfg's
+#         google-benchmark complexity fit of layout_dfg over layered
+#         DAGs of 64..4096 nodes (about 2 edges per node),
+#     "layout_micros_by_nodes": {"64": .., ..., "4096": ..} (real time),
+#     "current": <google-benchmark JSON of the BM_LayoutDfg run>
+#   }
+python3 - "$render_raw" "$out_dir/BENCH_render.json" <<'EOF'
+import json
+import sys
+
+current = json.load(open(sys.argv[1]))
+points = {}
+fit = {}
+for bench in current.get("benchmarks", []):
+    name = bench.get("name", "")
+    if name == "BM_LayoutDfg_BigO":
+        fit["big_o"] = bench.get("big_o")
+        fit["real_coefficient"] = round(bench.get("real_coefficient", 0.0), 2)
+    elif name == "BM_LayoutDfg_RMS":
+        fit["rms"] = round(bench.get("rms", 0.0), 3)
+    elif name.startswith("BM_LayoutDfg/"):
+        points[name.split("/")[1]] = round(bench["real_time"] / 1000.0, 1)
+
+out = {
+    "layout_complexity": fit,
+    "layout_micros_by_nodes": points,
+    "current": current,
+}
+json.dump(out, open(sys.argv[2], "w"), indent=1)
+print(f"wrote {sys.argv[2]} (layout_complexity = {fit}, "
+      f"layout_micros_by_nodes = {points})")
 EOF

@@ -24,6 +24,7 @@
 // With no positional arguments it demos on the built-in ls / ls -l
 // traces of Fig. 2.
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <iostream>
 #include <optional>
@@ -60,6 +61,9 @@ st::model::Query query_from_flags(const st::CliParser& cli) {
 
 int run_serve(const st::CliParser& cli) {
   using namespace st;
+  // A client that disconnects mid-reply must cost an EPIPE error on
+  // its own connection, never the server process.
+  std::signal(SIGPIPE, SIG_IGN);
   corpus::CatalogOptions copts;
   copts.mapping = cli.get("map");
   copts.cache_capacity =

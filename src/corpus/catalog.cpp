@@ -95,10 +95,6 @@ std::shared_ptr<const dfg::IoStatistics> Catalog::io_stats(const model::Query& q
   return artifact<dfg::IoStatistics>("iostats", &Catalog::compute_io_stats, q);
 }
 
-std::shared_ptr<const dfg::Layout> Catalog::layout(const model::Query& q) {
-  return artifact<dfg::Layout>("layout", &Catalog::compute_layout, q);
-}
-
 std::shared_ptr<const std::vector<model::CaseSummary>> Catalog::summaries(const model::Query& q) {
   return artifact<std::vector<model::CaseSummary>>("summaries", &Catalog::compute_summaries, q);
 }
@@ -193,12 +189,6 @@ std::shared_ptr<const void> Catalog::compute_io_stats(const model::Query& q) {
       dfg::IoStatistics::compute(*filtered(q), mapping_));
 }
 
-std::shared_ptr<const void> Catalog::compute_layout(const model::Query& q) {
-  const auto g = graph(q);
-  const auto stats = io_stats(q);
-  return std::make_shared<const dfg::Layout>(dfg::layout_dfg(*g, stats.get(), {}));
-}
-
 std::shared_ptr<const void> Catalog::compute_summaries(const model::Query& q) {
   return std::make_shared<const std::vector<model::CaseSummary>>(
       model::summarize_cases(*filtered(q)));
@@ -213,8 +203,11 @@ std::shared_ptr<const void> Catalog::compute_report(const model::Query& q) {
   const auto log = filtered(q);
   const auto stats = io_stats(q);
   const dfg::StatisticsColoring styler(*stats);
-  return std::make_shared<const std::string>(
-      report::build_report(*log, mapping_, &styler, query_report_options(q, mapping_)));
+  // build_report minus its IoStatistics::compute: the cached artifact
+  // is that same computation over the same filtered log.
+  const auto opts = query_report_options(q, mapping_);
+  return std::make_shared<const std::string>(report::render_report(
+      report::assemble_report_data(*log, mapping_, *stats, opts), mapping_, &styler, opts));
 }
 
 }  // namespace st::corpus

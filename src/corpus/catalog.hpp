@@ -5,7 +5,7 @@
 // corpus once (elog v2 containers open by mmap with zero reparse;
 // trace files stream through pipeline::run), hold it immutably behind
 // shared_ptr ownership, and memoize every derived artifact — query-
-// filtered logs, DFGs, layouts, I/O statistics, case summaries,
+// filtered logs, DFGs, I/O statistics, case summaries,
 // variant multisets, full HTML reports — in a thread-safe LRU cache.
 //
 // The cache key IS the wire format: artifacts are keyed by the
@@ -25,8 +25,9 @@
 //
 // Determinism contract: every artifact is byte-identical to the
 // offline CLI path over the same inputs — filtered logs use the same
-// serial Query::apply, reports the same build_report with the same
-// ReportOptions (query_report_options below is shared with
+// serial Query::apply, reports build_report's ReportData assembly
+// (fed the cached io_stats artifact instead of recomputing it) with
+// the same ReportOptions (query_report_options below is shared with
 // trace_explorer), so CI can cmp served bytes against the batch tool.
 #pragma once
 
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "dfg/dfg.hpp"
-#include "dfg/layout.hpp"
 #include "dfg/stats.hpp"
 #include "elog/v2_select.hpp"
 #include "model/activity_log.hpp"
@@ -115,8 +115,6 @@ class Catalog {
   [[nodiscard]] std::shared_ptr<const dfg::Dfg> graph(const model::Query& q);
   /// Activity/I-O statistics of the filtered view.
   [[nodiscard]] std::shared_ptr<const dfg::IoStatistics> io_stats(const model::Query& q);
-  /// Deterministic coordinate layout of graph(q), statistics-sized.
-  [[nodiscard]] std::shared_ptr<const dfg::Layout> layout(const model::Query& q);
   /// Per-case summary rows of the filtered view.
   [[nodiscard]] std::shared_ptr<const std::vector<model::CaseSummary>> summaries(
       const model::Query& q);
@@ -148,7 +146,6 @@ class Catalog {
   std::shared_ptr<const void> compute_filtered(const model::Query& q);
   std::shared_ptr<const void> compute_graph(const model::Query& q);
   std::shared_ptr<const void> compute_io_stats(const model::Query& q);
-  std::shared_ptr<const void> compute_layout(const model::Query& q);
   std::shared_ptr<const void> compute_summaries(const model::Query& q);
   std::shared_ptr<const void> compute_variants(const model::Query& q);
   std::shared_ptr<const void> compute_report(const model::Query& q);

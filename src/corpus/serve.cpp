@@ -166,6 +166,7 @@ void serve_lines(Catalog& catalog, std::istream& in, std::ostream& out) {
     if (trim(line).empty()) continue;
     const Response r = handle_request(catalog, line);
     out << r.header << '\n' << r.payload << std::flush;
+    if (!out) break;  // the reader went away (EPIPE with SIGPIPE ignored)
     if (r.ok && r.header.find("\"verb\":\"shutdown\"") != std::string::npos) break;
   }
 }
@@ -174,10 +175,14 @@ void serve_lines(Catalog& catalog, std::istream& in, std::ostream& out) {
 
 namespace {
 
+/// Writes every byte, or stops quietly once the peer has gone away.
+/// `fd` is always an accepted TCP socket (the stdio mode writes through
+/// serve_lines' std::ostream instead). MSG_NOSIGNAL makes a client that
+/// resets its connection cost an EPIPE error, not the process (SIGPIPE).
 void write_all(int fd, std::string_view bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
-    const auto n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    const auto n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;  // client went away; nothing useful to do

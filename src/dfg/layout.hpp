@@ -13,9 +13,17 @@
 //
 // The result is a plain geometry description consumed by the SVG
 // renderer (render_svg.hpp) and tested independently of any markup.
+//
+// Cost: nodes are numbered once and every pass runs over dense
+// indices, so a barycenter sweep is O(V + E) plus the row sorts
+// (O(V log V)). Layering is a longest-path relaxation over the edge
+// list that stops as soon as a round changes nothing, which a DAG
+// reaches after at most (longest path + 1) rounds; on cyclic graphs it
+// runs its bound of |V| + 1 rounds, O(V·E) integer work.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,6 +49,8 @@ struct NodeBox {
 struct EdgeGeom {
   Activity from;
   Activity to;
+  std::size_t from_index = 0;  ///< Layout::nodes index of `from`
+  std::size_t to_index = 0;    ///< Layout::nodes index of `to`
   std::uint64_t count = 0;
   bool self_loop = false;
   bool back_edge = false;  ///< points to an earlier or equal layer
@@ -52,6 +62,8 @@ struct Layout {
   double width = 0;   ///< canvas size
   double height = 0;
 
+  /// Linear search by activity (tests and ad-hoc lookups; the renderer
+  /// goes through EdgeGeom's indices).
   [[nodiscard]] const NodeBox* find(const Activity& a) const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <utility>
 
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
@@ -157,11 +158,11 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
   return html;
 }
 
-std::string build_report(const model::EventLog& log, const model::Mapping& f,
-                         const dfg::Styler* styler, const ReportOptions& opts) {
+ReportData assemble_report_data(const model::EventLog& log, const model::Mapping& f,
+                                dfg::IoStatistics stats, const ReportOptions& opts) {
   ReportData data;
   data.graph = dfg::build_serial(log, f);
-  data.stats = dfg::IoStatistics::compute(log, f);
+  data.stats = std::move(stats);
   data.edge_stats = dfg::EdgeStatistics::compute(log, f);
   data.case_summaries = model::summarize_cases(log);
   data.case_count = log.case_count();
@@ -169,7 +170,13 @@ std::string build_report(const model::EventLog& log, const model::Mapping& f,
   if (opts.timeline_activity) {
     data.timeline = dfg::IoStatistics::timeline(log, f, *opts.timeline_activity);
   }
-  return render_report(data, f, styler, opts);
+  return data;
+}
+
+std::string build_report(const model::EventLog& log, const model::Mapping& f,
+                         const dfg::Styler* styler, const ReportOptions& opts) {
+  return render_report(
+      assemble_report_data(log, f, dfg::IoStatistics::compute(log, f), opts), f, styler, opts);
 }
 
 void write_report_file(const std::string& path, const model::EventLog& log,

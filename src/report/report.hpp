@@ -60,8 +60,8 @@ struct ReportOptions {
 };
 
 /// The precomputed pieces every report section renders from.
-/// build_report fills it from an EventLog; streaming_report fills it
-/// from one pipeline::run pass.
+/// build_report fills it from an EventLog (assemble_report_data);
+/// streaming_report fills it from one pipeline::run pass.
 struct ReportData {
   dfg::Dfg graph;
   dfg::IoStatistics stats;
@@ -83,6 +83,14 @@ struct ReportData {
 /// (uncolored DFG).
 [[nodiscard]] std::string render_report(const ReportData& data, const model::Mapping& f,
                                         const dfg::Styler* styler, const ReportOptions& opts = {});
+
+/// The ReportData of a materialized log, with its activity statistics
+/// supplied by the caller: `stats` must be IoStatistics::compute(log,
+/// f). A caller that already holds them (the serve Catalog's cached
+/// statistics artifact) skips computing them a second time.
+[[nodiscard]] ReportData assemble_report_data(const model::EventLog& log, const model::Mapping& f,
+                                              dfg::IoStatistics stats,
+                                              const ReportOptions& opts = {});
 
 /// Builds the full report from a materialized log (computes ReportData
 /// and renders it). `styler` may be null (uncolored DFG).

@@ -11,7 +11,15 @@
 //   - concurrent lookup/evict/insert is clean (this test is in the
 //     TSan job's target list);
 //   - handle_request/serve_lines: canonical echo, payload framing,
-//     graceful error replies, shutdown.
+//     graceful error replies, shutdown;
+//   - the served report equals build_report byte for byte under last2,
+//     with the indexed query planner on and off;
+//   - the TCP server outlives a client that resets mid-reply.
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +30,9 @@
 #include "corpus/catalog.hpp"
 #include "corpus/serve.hpp"
 #include "dfg/coloring.hpp"
+#include "elog/store.hpp"
+#include "elog/v2_select.hpp"
+#include "elog/v2_store.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/stream.hpp"
@@ -136,6 +147,52 @@ TEST_F(CatalogTest, CachedArtifactsMatchUncachedRecomputation) {
   const auto offline =
       report::build_report(view, cold.mapping(), &styler, query_report_options(q, cold.mapping()));
   EXPECT_EQ(offline, *cached_first);
+}
+
+/// Restores the global index switch however a test exits.
+struct ScopedIndexEnabled {
+  explicit ScopedIndexEnabled(bool on) { elog::set_query_index_enabled(on); }
+  ~ScopedIndexEnabled() { elog::set_query_index_enabled(true); }
+};
+
+TEST_F(CatalogTest, ServedReportEqualsBuildReportUnderLast2WithIndexOnAndOff) {
+  // The corpus as an indexed v2 container, so the filtered views come
+  // from the index planner when it is on and from Query::apply when off.
+  ThreadPool pool(2);
+  const std::string container = (dir_ / "corpus.elog").string();
+  elog::write_event_log_v2_file(container, pipeline::event_log_streamed(corpus_, pool));
+  // A clean read hands the Catalog the mapped file, i.e. an indexed segment.
+  ASSERT_NE(elog::read_event_log_file_indexed(container).mapped, nullptr);
+  const std::vector<Query> queries = {
+      Query(),
+      Query().fp_contains("/p/scratch"),
+      Query().calls({"read", "openat"}),
+      Query().fp_contains("/p/data").calls({"read"}),
+      Query().between(36000000000, 36000040000),
+  };
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "index on" : "index off");
+    const ScopedIndexEnabled index(indexed);
+    CatalogOptions opts;
+    opts.mapping = "last2";
+    Catalog catalog(opts);
+    catalog.load({container}, pool);
+    for (const auto& q : queries) {
+      SCOPED_TRACE(q.describe());
+      // One report miss computes the report, the filtered view and the
+      // statistics: three entries, no more.
+      const auto before = catalog.cache_stats();
+      const auto served = catalog.report_html(q);
+      const auto after = catalog.cache_stats();
+      EXPECT_EQ(after.misses - before.misses, 3u);
+      EXPECT_EQ(after.entries - before.entries, 3u);
+
+      const auto view = q.apply(*catalog.base());
+      const dfg::StatisticsColoring styler(*catalog.io_stats(q));
+      EXPECT_EQ(*served, report::build_report(view, catalog.mapping(), &styler,
+                                              query_report_options(q, catalog.mapping())));
+    }
+  }
 }
 
 TEST_F(CatalogTest, SingleFlightUnderStampede) {
@@ -273,6 +330,58 @@ TEST_F(CatalogTest, ServeLinesSpeaksTheFramedProtocol) {
   // answered.
   EXPECT_TRUE(stream.ends_with("bye\n"));
   EXPECT_EQ(stream.find("\"verb\":\"query\""), std::string::npos);
+}
+
+/// A blocking localhost TCP client socket (10 s receive timeout, so a
+/// broken server fails the test instead of hanging it).
+int connect_to(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
+}
+
+void send_text(int fd, const std::string& text) {
+  ASSERT_EQ(::send(fd, text.data(), text.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(text.size()));
+}
+
+TEST_F(CatalogTest, ServerSurvivesAClientThatResetsBeforeReadingItsReply) {
+  auto catalog = make_catalog();
+  Server server(catalog, 0);
+  ThreadPool pool(1);  // one handler at a time: the ping runs after the reset session
+  std::thread loop([&] { server.serve_forever(pool); });
+
+  // Several reports, then an RST (SO_LINGER 0) before reading a byte:
+  // the server's writes hit a reset socket. Without MSG_NOSIGNAL the
+  // second of them raises SIGPIPE and kills this process.
+  const int rude = connect_to(server.port());
+  send_text(rude, "report all\nreport fp~/p/scratch\nreport calls{read}\n");
+  const linger reset{1, 0};
+  ::setsockopt(rude, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+  ::close(rude);
+
+  const int polite = connect_to(server.port());
+  send_text(polite, "ping\n");
+  std::string reply;
+  char buf[256];
+  while (reply.find("pong\n") == std::string::npos) {
+    const auto n = ::recv(polite, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_TRUE(reply.starts_with("{\"ok\":true,\"verb\":\"ping\"")) << reply;
+  EXPECT_TRUE(reply.ends_with("pong\n")) << reply;
+  ::close(polite);
+
+  server.stop();
+  loop.join();
 }
 
 TEST_F(CatalogTest, StatReportsCorpusAndCacheCounters) {
