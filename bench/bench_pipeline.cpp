@@ -162,9 +162,32 @@ class TraceCorpus {
   std::vector<std::string> paths_;
 };
 
+/// The pre-pipeline parallel DFG build: a chunked map-reduce of
+/// add_case_trace over `pool`, partial graphs merged through the Dfg
+/// monoid. Kept here (not in src/) only as the staged baselines' last
+/// barrier.
+dfg::Dfg staged_build(const model::EventLog& log, const model::Mapping& f, ThreadPool& pool) {
+  const auto cases = log.cases();
+  return map_reduce(
+      pool, cases.size(), dfg::Dfg{},
+      [&](std::size_t lo, std::size_t hi) {
+        dfg::Dfg partial;
+        model::MappedCase walk;
+        for (std::size_t i = lo; i < hi; ++i) {
+          walk.assign(cases[i], f);
+          dfg::add_case_trace(partial, walk);
+        }
+        return partial;
+      },
+      [](dfg::Dfg acc, const dfg::Dfg& part) {
+        acc.merge(part);
+        return acc;
+      });
+}
+
 /// The barrier-separated reference: parse ALL files (mixed work queue),
 /// then convert ALL files (parallel_for on the same pool), then
-/// build_parallel — the pre-pipeline construction, kept here as the
+/// staged_build — the pre-pipeline construction, kept here as the
 /// baseline pipeline_overlap_speedup_vs_staged is measured against.
 dfg::Dfg staged_trace_to_dfg(const std::vector<std::string>& paths, const model::Mapping& f,
                              ThreadPool& pool) {
@@ -199,7 +222,7 @@ dfg::Dfg staged_trace_to_dfg(const std::vector<std::string>& paths, const model:
     log.add_case(std::move(cases[i]));
     log.adopt(std::move(results[i].buffer));
   }
-  return dfg::build_parallel(log, f, pool);  // barrier 3
+  return staged_build(log, f, pool);  // barrier 3
 }
 
 void BM_PipelineStaged(benchmark::State& state) {
@@ -245,7 +268,7 @@ void BM_MultiSinkStaged(benchmark::State& state) {
   std::uint64_t traces = 0;
   for (auto _ : state) {
     const auto log = pipeline::event_log_streamed(paths, pool);  // barrier
-    const auto g = dfg::build_parallel(log, f, pool);            // pass 1
+    const auto g = staged_build(log, f, pool);                   // pass 1
     const auto summaries = model::summarize_cases(log, pool);    // pass 2
     const auto variants = model::ActivityLog::build(log, f).variants();  // pass 3
     traces += g.trace_count();

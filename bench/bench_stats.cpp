@@ -14,17 +14,24 @@ namespace {
 
 using namespace st;
 
-void BM_Stats_EventSweep(benchmark::State& state) {
+/// n sweep under the registry mapping `map` (top2, or last2 whose
+/// activities keep the file name).
+void BM_Stats_EventSweep(benchmark::State& state, const char* map) {
   const auto log = bench::synthetic_log(3, 64, static_cast<std::size_t>(state.range(0)) / 64,
                                         /*distinct_paths=*/16);
-  const auto f = model::Mapping::call_top_dirs(2);
+  const auto f = model::mapping_by_name(map);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dfg::IoStatistics::compute(log, f));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(log.total_events()));
   state.SetComplexityN(static_cast<std::int64_t>(log.total_events()));
 }
-BENCHMARK(BM_Stats_EventSweep)->Range(1 << 10, 1 << 17)->Complexity(benchmark::oN);
+BENCHMARK_CAPTURE(BM_Stats_EventSweep, top2, "top2")
+    ->Range(1 << 10, 1 << 17)
+    ->Complexity(benchmark::oN);
+BENCHMARK_CAPTURE(BM_Stats_EventSweep, last2, "last2")
+    ->Range(1 << 10, 1 << 17)
+    ->Complexity(benchmark::oN);
 
 void BM_Stats_ActivitySweep(benchmark::State& state) {
   // m ~ distinct paths (call_last_components keeps paths distinct).

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the ingestion + pipeline + storage + sharding + query + serve +
-# layout benchmarks and writes BENCH_parse.json, BENCH_pipeline.json,
-# BENCH_elog.json, BENCH_shard.json, BENCH_query.json,
-# BENCH_serve.json and BENCH_render.json at the repo root — the perf trajectory record future
+# layout + per-case fold benchmarks and writes BENCH_parse.json,
+# BENCH_pipeline.json, BENCH_elog.json, BENCH_shard.json,
+# BENCH_query.json, BENCH_serve.json, BENCH_render.json and
+# BENCH_fold.json at the repo root — the perf trajectory record future
 # PRs compare against.
 #
 #   bench/run_bench.sh [build-dir] [out-dir]
@@ -65,7 +66,9 @@ nofault_raw="$(mktemp)"
 query_raw="$(mktemp)"
 serve_raw="$(mktemp)"
 render_raw="$(mktemp)"
-trap 'rm -f "$parse_raw" "$pipeline_raw" "$elog_raw" "$shard_raw" "$nofault_raw" "$query_raw" "$serve_raw" "$render_raw"' EXIT
+dfg_raw="$(mktemp)"
+stats_raw="$(mktemp)"
+trap 'rm -f "$parse_raw" "$pipeline_raw" "$elog_raw" "$shard_raw" "$nofault_raw" "$query_raw" "$serve_raw" "$render_raw" "$dfg_raw" "$stats_raw"' EXIT
 
 "$build_dir/bench/bench_parse" \
   --benchmark_format=json \
@@ -101,6 +104,24 @@ ST_ELOG_TOOL="$build_dir/examples/elog_tool" \
   --benchmark_format=json \
   --benchmark_min_time=0.2 \
   >"$render_raw"
+
+# The per-case folds: DFG construction and I/O statistics over the
+# event count, under top2 and last2 (BM_BuildSerial and
+# BM_Stats_EventSweep complexity fits, 5 repetitions per point).
+"$build_dir/bench/bench_dfg" \
+  --benchmark_filter='^BM_BuildSerial/' \
+  --benchmark_format=json \
+  --benchmark_min_time=0.2 \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
+  >"$dfg_raw"
+"$build_dir/bench/bench_stats" \
+  --benchmark_filter='^BM_Stats_EventSweep/' \
+  --benchmark_format=json \
+  --benchmark_min_time=0.2 \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
+  >"$stats_raw"
 
 # bench_serve is a plain main (latency distribution, not throughput —
 # see its header): it prints one JSON record; the wrapper below lifts
@@ -546,4 +567,56 @@ out = {
 json.dump(out, open(sys.argv[2], "w"), indent=1)
 print(f"wrote {sys.argv[2]} (layout_complexity = {fit}, "
       f"layout_micros_by_nodes = {points})")
+EOF
+
+# BENCH_fold.json layout:
+#   {
+#     "<fold>": {"<mapping>": {
+#         "ns_per_event_by_events": {"1024": .., ..., "131072": ..}
+#             (median real time over 5 repetitions / event count),
+#         "cv_by_events": {...} (coefficient of variation of those runs),
+#         "big_o": .., "rms": ..}} — google-benchmark's complexity fit,
+#       for fold in build_serial (bench_dfg BM_BuildSerial) and
+#       io_stats (bench_stats BM_Stats_EventSweep), mapping in top2 and
+#       last2,
+#     "current": {"bench_dfg": <google-benchmark JSON>,
+#                 "bench_stats": <google-benchmark JSON>}
+#   }
+python3 - "$dfg_raw" "$stats_raw" "$out_dir/BENCH_fold.json" <<'EOF'
+import json
+import sys
+
+
+def summarize(current, prefix):
+    out = {}
+    for bench in current.get("benchmarks", []):
+        name = bench.get("name", "")
+        if not name.startswith(prefix + "/"):
+            continue
+        parts = name[len(prefix) + 1:].split("/")
+        mapping = parts[0].split("_")[0]
+        slot = out.setdefault(mapping, {"ns_per_event_by_events": {}, "cv_by_events": {}})
+        aggregate = bench.get("aggregate_name")
+        if aggregate == "BigO":
+            slot["big_o"] = bench.get("big_o")
+        elif aggregate == "RMS":
+            slot["rms"] = round(bench.get("rms", 0.0), 3)
+        elif len(parts) == 2:
+            events = parts[1].split("_")[0]
+            if aggregate == "median":
+                slot["ns_per_event_by_events"][events] = round(bench["real_time"] / int(events), 1)
+            elif aggregate == "cv":
+                slot["cv_by_events"][events] = round(bench["real_time"], 3)
+    return out
+
+
+dfg = json.load(open(sys.argv[1]))
+stats = json.load(open(sys.argv[2]))
+out = {
+    "build_serial": summarize(dfg, "BM_BuildSerial"),
+    "io_stats": summarize(stats, "BM_Stats_EventSweep"),
+    "current": {"bench_dfg": dfg, "bench_stats": stats},
+}
+json.dump(out, open(sys.argv[3], "w"), indent=1)
+print(f"wrote {sys.argv[3]} (build_serial = {out['build_serial']}, io_stats = {out['io_stats']})")
 EOF

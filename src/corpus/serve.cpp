@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <istream>
@@ -191,32 +192,45 @@ void write_all(int fd, std::string_view bytes) {
   }
 }
 
-/// Buffered line reads over a socket.
+/// Longest request line a connection may send; the query grammar needs
+/// far less. A longer line (terminated or not) gets a typed error reply
+/// and the connection closes, so no client can grow a buffer without
+/// bound.
+constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
+/// Buffered line reads over a socket, at most kMaxRequestLine bytes per
+/// line.
 class FdLineReader {
  public:
+  enum class Result { kLine, kEof, kTooLong };
+
   explicit FdLineReader(int fd) : fd_(fd) {}
 
-  bool getline(std::string& line) {
+  Result getline(std::string& line) {
     line.clear();
     for (;;) {
-      const auto nl = buf_.find('\n', pos_);
+      // Only bytes not yet scanned can hold the newline.
+      const auto nl = buf_.find('\n', std::max(pos_, scanned_));
       if (nl != std::string::npos) {
+        if (nl - pos_ > kMaxRequestLine) return Result::kTooLong;
         line.assign(buf_, pos_, nl - pos_);
         pos_ = nl + 1;
         if (!line.empty() && line.back() == '\r') line.pop_back();
-        return true;
+        return Result::kLine;
       }
       buf_.erase(0, pos_);
       pos_ = 0;
+      scanned_ = buf_.size();
+      if (buf_.size() > kMaxRequestLine) return Result::kTooLong;
       char chunk[4096];
       const auto n = ::read(fd_, chunk, sizeof chunk);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
         if (!buf_.empty()) {  // final unterminated line
           line = std::exchange(buf_, {});
-          return true;
+          return Result::kLine;
         }
-        return false;
+        return Result::kEof;
       }
       buf_.append(chunk, static_cast<std::size_t>(n));
     }
@@ -226,6 +240,7 @@ class FdLineReader {
   int fd_;
   std::string buf_;
   std::size_t pos_ = 0;
+  std::size_t scanned_ = 0;  ///< buf_[0, scanned_) holds no newline
 };
 
 int hex_value(char c) {
@@ -310,23 +325,31 @@ void Server::serve_forever(ThreadPool& pool) {
       if (errno == EINTR) continue;
       break;  // stop() shut the listener down (or it genuinely failed)
     }
+    // Reap finished connections, so a long-lived server holds only the
+    // ones still open.
+    std::erase_if(connections, [](const std::future<void>& c) {
+      return c.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    });
     connections.push_back(pool.submit([this, fd] { handle_connection(fd); }));
   }
   for (auto& c : connections) c.wait();  // drain in-flight requests
 }
 
 void Server::handle_connection(int fd) {
+  using Result = FdLineReader::Result;
+  const auto refuse_overlong = [&] {
+    write_all(fd, error_response("request line too long").header + "\n");
+    ::close(fd);
+  };
   FdLineReader reader(fd);
   std::string line;
-  if (!reader.getline(line)) {
-    ::close(fd);
-    return;
-  }
-  if (line.starts_with("GET ")) {
+  Result got = reader.getline(line);
+  if (got == Result::kLine && line.starts_with("GET ")) {
     // One-shot HTTP/1.0: drain the request headers, answer, close.
     std::string header_line;
-    while (reader.getline(header_line) && !header_line.empty()) {
+    while ((got = reader.getline(header_line)) == Result::kLine && !header_line.empty()) {
     }
+    if (got == Result::kTooLong) return refuse_overlong();
     const Response r = handle_request(catalog_, request_from_http(line));
     const std::string_view body = r.ok ? std::string_view(r.payload) : std::string_view(r.header);
     std::string http = r.ok ? "HTTP/1.0 200 OK\r\n" : "HTTP/1.0 400 Bad Request\r\n";
@@ -340,19 +363,19 @@ void Server::handle_connection(int fd) {
     if (r.ok && r.header.find("\"verb\":\"shutdown\"") != std::string::npos) stop();
     return;
   }
-  // ndjson session: one request per line until EOF or shutdown.
-  for (;;) {
-    if (!trim(line).empty()) {
-      const Response r = handle_request(catalog_, line);
-      write_all(fd, r.header + "\n" + r.payload);
-      if (r.ok && r.header.find("\"verb\":\"shutdown\"") != std::string::npos) {
-        ::close(fd);
-        stop();
-        return;
-      }
+  // ndjson session: one request per line until EOF, shutdown or an
+  // overlong line.
+  for (; got == Result::kLine; got = reader.getline(line)) {
+    if (trim(line).empty()) continue;
+    const Response r = handle_request(catalog_, line);
+    write_all(fd, r.header + "\n" + r.payload);
+    if (r.ok && r.header.find("\"verb\":\"shutdown\"") != std::string::npos) {
+      ::close(fd);
+      stop();
+      return;
     }
-    if (!reader.getline(line)) break;
   }
+  if (got == Result::kTooLong) return refuse_overlong();
   ::close(fd);
 }
 

@@ -1,35 +1,44 @@
 #include "dfg/builder.hpp"
 
-#include "parallel/algorithms.hpp"
+#include <cstdint>
+#include <vector>
 
 namespace st::dfg {
 
-void add_case_trace(Dfg& g, const model::Case& c, const model::Mapping& f) {
-  // model::activity_trace is THE per-case mapped-event walk
-  // (model/case_walk.hpp) — shared with IoStatistics/EdgeStatistics so
-  // the graph and the statistics cannot drift on event order.
-  g.add_trace(model::activity_trace(c, f), 1);
+void add_case_trace(Dfg& g, const model::MappedCase& walk) {
+  // Dfg::add_trace(σ_f(c), 1), with the per-event map updates replaced
+  // by per-case tallies: weights are integers, so the graph is the same.
+  const auto activities = walk.activities();
+  const auto ids = walk.ids();
+  ++g.trace_count_;
+  ++g.nodes_[Dfg::start_node()];
+  ++g.nodes_[Dfg::end_node()];
+  if (ids.empty()) {
+    ++g.edges_[{Dfg::start_node(), Dfg::end_node()}];
+    return;
+  }
+  std::vector<std::uint64_t> node_counts(activities.size(), 0);
+  for (const std::uint32_t id : ids) ++node_counts[id];
+  for (std::size_t i = 0; i < activities.size(); ++i) g.nodes_[activities[i]] += node_counts[i];
+
+  const auto edges = walk.edges();
+  std::vector<std::uint64_t> edge_counts(edges.size(), 0);
+  for (const std::uint32_t e : walk.edge_ids()) ++edge_counts[e];
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    g.edges_[{activities[edges[i].from], activities[edges[i].to]}] += edge_counts[i];
+  }
+  ++g.edges_[{Dfg::start_node(), activities[ids.front()]}];
+  ++g.edges_[{activities[ids.back()], Dfg::end_node()}];
 }
 
 Dfg build_serial(const model::EventLog& log, const model::Mapping& f) {
   Dfg g;
-  for (const model::Case& c : log.cases()) add_case_trace(g, c, f);
+  model::MappedCase walk;
+  for (const model::Case& c : log.cases()) {
+    walk.assign(c, f);
+    add_case_trace(g, walk);
+  }
   return g;
-}
-
-Dfg build_parallel(const model::EventLog& log, const model::Mapping& f, ThreadPool& pool) {
-  const auto cases = log.cases();
-  return map_reduce(
-      pool, cases.size(), Dfg{},
-      [&](std::size_t lo, std::size_t hi) {
-        Dfg partial;
-        for (std::size_t i = lo; i < hi; ++i) add_case_trace(partial, cases[i], f);
-        return partial;
-      },
-      [](Dfg acc, const Dfg& part) {
-        acc.merge(part);
-        return acc;
-      });
 }
 
 }  // namespace st::dfg

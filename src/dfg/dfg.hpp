@@ -7,8 +7,8 @@
 // activity-log (traces weighted by their multiplicity).
 //
 // Dfg is an abelian monoid under merge() — the identity is the empty
-// graph and weights add — which makes the parallel map-reduce
-// construction (builder.hpp, refs [24][25]) correct by construction.
+// graph and weights add — which makes the per-case fold on a pool
+// (pipeline::DfgSink, refs [24][25]) correct by construction.
 // Containers are ordered maps so iteration (and thus rendering) is
 // deterministic.
 #pragma once
@@ -20,6 +20,10 @@
 #include <utility>
 
 #include "model/activity_log.hpp"
+
+namespace st::model {
+class MappedCase;
+}  // namespace st::model
 
 namespace st::dfg {
 
@@ -78,6 +82,9 @@ class Dfg {
   [[nodiscard]] bool operator==(const Dfg&) const = default;
 
  private:
+  /// The per-case unit step (builder.hpp) adds its tallies directly.
+  friend void add_case_trace(Dfg& g, const model::MappedCase& walk);
+
   std::map<Activity, std::uint64_t> nodes_;
   std::map<std::pair<Activity, Activity>, std::uint64_t> edges_;
   std::uint64_t trace_count_ = 0;

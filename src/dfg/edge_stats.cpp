@@ -1,31 +1,44 @@
 #include "dfg/edge_stats.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
-
-#include "model/case_walk.hpp"
+#include <vector>
 
 namespace st::dfg {
 
-void EdgeStatistics::Partial::add_case(const model::Case& c, const model::Mapping& f) {
-  std::optional<model::Activity> prev_activity;
-  Micros prev_end = 0;
-  model::for_each_mapped_event(c, f, [&](model::Activity&& activity, const model::Event& e) {
-    if (prev_activity) {
-      EdgeStat& stat = stats_[{*prev_activity, activity}];
-      ++stat.count;
-      const Micros gap = e.start - prev_end;
-      if (gap >= 0) {
-        stat.total_gap += gap;
-        stat.max_gap = std::max(stat.max_gap, gap);
-      } else {
-        ++stat.overlapped;
-      }
+namespace {
+
+/// The EdgeStat monoid: counts and gaps add, max_gap maxes.
+void add_into(EdgeStat& into, const EdgeStat& from) {
+  into.count += from.count;
+  into.total_gap += from.total_gap;
+  into.max_gap = std::max(into.max_gap, from.max_gap);
+  into.overlapped += from.overlapped;
+}
+
+}  // namespace
+
+void EdgeStatistics::Partial::add_case(const model::MappedCase& walk) {
+  // Gaps tallied per local edge id first (integers only), then folded
+  // into the string-keyed map once per distinct edge of the case.
+  const auto edges = walk.edges();
+  std::vector<EdgeStat> local(edges.size());
+  const auto edge_ids = walk.edge_ids();
+  for (std::size_t k = 0; k < edge_ids.size(); ++k) {
+    EdgeStat& stat = local[edge_ids[k]];
+    ++stat.count;
+    const Micros gap = walk.event(k + 1).start - walk.event(k).end();
+    if (gap >= 0) {
+      stat.total_gap += gap;
+      stat.max_gap = std::max(stat.max_gap, gap);
+    } else {
+      ++stat.overlapped;
     }
-    prev_activity = std::move(activity);
-    prev_end = e.end();
-  });
+  }
+  const auto activities = walk.activities();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    add_into(stats_[{activities[edges[i].from], activities[edges[i].to]}], local[i]);
+  }
 }
 
 void EdgeStatistics::Partial::merge(Partial&& other) {
@@ -36,20 +49,19 @@ void EdgeStatistics::Partial::merge(Partial&& other) {
   while (!other.stats_.empty()) {
     auto node = other.stats_.extract(other.stats_.begin());
     const auto result = stats_.insert(std::move(node));
-    if (!result.inserted) {
-      EdgeStat& into = result.position->second;
-      const EdgeStat& from = result.node.mapped();
-      into.count += from.count;
-      into.total_gap += from.total_gap;
-      into.max_gap = std::max(into.max_gap, from.max_gap);
-      into.overlapped += from.overlapped;
-    }
+    if (!result.inserted) add_into(result.position->second, result.node.mapped());
   }
 }
 
-EdgeStatistics EdgeStatistics::Partial::finalize() const {
+EdgeStatistics EdgeStatistics::Partial::finalize() const& {
   EdgeStatistics out;
   out.stats_ = stats_;
+  return out;
+}
+
+EdgeStatistics EdgeStatistics::Partial::finalize() && {
+  EdgeStatistics out;
+  out.stats_ = std::move(stats_);
   return out;
 }
 
@@ -61,8 +73,12 @@ EdgeStatistics::Partial EdgeStatistics::Partial::from_stats(std::map<Edge, EdgeS
 
 EdgeStatistics EdgeStatistics::compute(const model::EventLog& log, const model::Mapping& f) {
   Partial partial;
-  for (const model::Case& c : log.cases()) partial.add_case(c, f);
-  return partial.finalize();
+  model::MappedCase walk;
+  for (const model::Case& c : log.cases()) {
+    walk.assign(c, f);
+    partial.add_case(walk);
+  }
+  return std::move(partial).finalize();
 }
 
 const EdgeStat* EdgeStatistics::find(const model::Activity& from,

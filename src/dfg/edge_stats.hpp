@@ -23,6 +23,7 @@
 #include <string>
 #include <utility>
 
+#include "model/case_walk.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
 
@@ -50,13 +51,16 @@ class EdgeStatistics {
   /// compute, streamed EdgeStatsSink, decoded shard blobs) are exact.
   class Partial {
    public:
-    /// Folds one case's directly-follows gaps (edges never span cases).
-    void add_case(const model::Case& c, const model::Mapping& f);
+    /// Folds one case's directly-follows gaps (edges never span cases),
+    /// touching the map once per distinct edge of the case.
+    void add_case(const model::MappedCase& walk);
 
     /// Integer sums per edge: counts and gaps add, max_gap maxes.
     void merge(Partial&& other);
 
-    [[nodiscard]] EdgeStatistics finalize() const;
+    [[nodiscard]] EdgeStatistics finalize() const&;
+    /// Moves the map out instead of copying it.
+    [[nodiscard]] EdgeStatistics finalize() &&;
 
     [[nodiscard]] const std::map<Edge, EdgeStat>& stats() const { return stats_; }
 

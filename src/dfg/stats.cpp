@@ -29,11 +29,15 @@ double deterministic_pairwise_sum(std::span<const double> xs) {
          deterministic_pairwise_sum(xs.subspan(half));
 }
 
-void IoStatistics::Partial::add_case(const model::Case& c, const model::Mapping& f) {
-  CaseContribution contribution;
-  contribution.id = c.id();
-  model::for_each_mapped_event(c, f, [&](model::Activity&& a, const model::Event& e) {
-    ActivityContribution& slot = contribution.activities[std::move(a)];
+void IoStatistics::Partial::add_case(const model::MappedCase& walk) {
+  // One local slot per distinct activity, filled in event order (so
+  // each rate sum adds in event order, as the per-event fold did), then
+  // moved into the case's map once per activity.
+  std::vector<ActivityContribution> slots(walk.activities().size());
+  const auto ids = walk.ids();
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const model::Event& e = walk.event(k);
+    ActivityContribution& slot = slots[ids[k]];
     slot.total_dur += e.dur;
     ++slot.event_count;
     if (e.has_size()) {
@@ -46,7 +50,12 @@ void IoStatistics::Partial::add_case(const model::Case& c, const model::Mapping&
       }
     }
     slot.intervals.push_back(Interval{e.start, e.end()});
-  });
+  }
+  CaseContribution contribution;
+  contribution.id = walk.source().id();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    contribution.activities.emplace(walk.activities()[i], std::move(slots[i]));
+  }
   cases_.push_back(std::move(contribution));
 }
 
@@ -129,7 +138,11 @@ IoStatistics::Partial IoStatistics::Partial::from_cases(std::vector<CaseContribu
 
 IoStatistics IoStatistics::compute(const model::EventLog& log, const model::Mapping& f) {
   Partial partial;
-  for (const model::Case& c : log.cases()) partial.add_case(c, f);
+  model::MappedCase walk;
+  for (const model::Case& c : log.cases()) {
+    walk.assign(c, f);
+    partial.add_case(walk);
+  }
   return partial.finalize();
 }
 
@@ -142,12 +155,16 @@ std::vector<TimelineEntry> IoStatistics::timeline(const model::EventLog& log,
                                                   const model::Mapping& f,
                                                   const model::Activity& a) {
   std::vector<TimelineEntry> out;
+  model::MappedCase walk;
   for (const model::Case& c : log.cases()) {
-    for (const model::Event& e : c.events()) {
-      const auto mapped = f(e);
-      if (mapped && *mapped == a) {
-        out.push_back(TimelineEntry{c.id(), Interval{e.start, e.end()}});
-      }
+    walk.assign(c, f);
+    const auto id = walk.find(a);
+    if (!id) continue;
+    const auto ids = walk.ids();
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (ids[k] != *id) continue;
+      const model::Event& e = walk.event(k);
+      out.push_back(TimelineEntry{c.id(), Interval{e.start, e.end()}});
     }
   }
   std::sort(out.begin(), out.end(), [](const TimelineEntry& x, const TimelineEntry& y) {

@@ -21,6 +21,14 @@
 // coordinator all run the identical add_case -> merge -> finalize
 // path, so their doubles are bit-identical at any worker or shard
 // count.
+//
+// The fold itself runs over model::MappedCase (model/case_walk.hpp):
+// each case is mapped once, its events are tallied into one local
+// ActivityContribution per distinct activity — the rate sum still in
+// event order — and the case's string-keyed map is built once per
+// distinct activity, not looked up once per event. CaseContribution
+// and the partial codec are unchanged, so every double is too
+// (test_fold_oracle compares them bitwise with the per-event fold).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +39,7 @@
 #include <vector>
 
 #include "dfg/concurrency.hpp"
+#include "model/case_walk.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
 
@@ -92,8 +101,9 @@ class IoStatistics {
   /// single place sums happen, identically on every path.
   class Partial {
    public:
-    /// Folds one case (one in-order walk of its mapped events).
-    void add_case(const model::Case& c, const model::Mapping& f);
+    /// Folds one case: its mapped events, in event order, into one
+    /// ActivityContribution per distinct activity.
+    void add_case(const model::MappedCase& walk);
 
     /// Concatenation: appends `other`'s cases after this one's.
     /// Associative and exact — the double fields are moved, never

@@ -1,17 +1,19 @@
 #include "model/activity_log.hpp"
 
+#include <cstdint>
 #include <utility>
 
 #include "model/case_walk.hpp"
 
 namespace st::model {
 
-ActivityTrace activity_trace(const Case& c, const Mapping& f) {
+ActivityTrace activity_trace(const MappedCase& walk) {
   ActivityTrace trace;
-  trace.reserve(c.size());
-  for_each_mapped_event(c, f, [&](Activity&& a, const Event&) { trace.push_back(std::move(a)); });
+  trace.reserve(walk.size());
+  for (const std::uint32_t id : walk.ids()) trace.push_back(walk.activities()[id]);
   return trace;
 }
+
 
 void merge_variant_counts(VariantCounts& to, VariantCounts&& from) {
   if (to.empty()) {
@@ -25,11 +27,11 @@ void merge_variant_counts(VariantCounts& to, VariantCounts&& from) {
   }
 }
 
-void ActivityLog::add_case(const Case& c, const Mapping& f) {
-  ActivityTrace trace = activity_trace(c, f);
-  for (const Activity& a : trace) activities_.insert(a);
+void ActivityLog::add_case(const MappedCase& walk) {
+  ActivityTrace trace = activity_trace(walk);
+  for (const Activity& a : walk.activities()) activities_.insert(a);
   total_instances_ += trace.size();
-  per_case_.emplace(c.id(), trace);
+  per_case_.emplace(walk.source().id(), trace);
   ++variants_[std::move(trace)];
   ++case_count_;
 }
@@ -56,7 +58,11 @@ ActivityLog ActivityLog::from_parts(VariantCounts variants, std::map<CaseId, Act
 
 ActivityLog ActivityLog::build(const EventLog& log, const Mapping& f) {
   ActivityLog out;
-  for (const Case& c : log.cases()) out.add_case(c, f);
+  MappedCase walk;
+  for (const Case& c : log.cases()) {
+    walk.assign(c, f);
+    out.add_case(walk);
+  }
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "model/case_walk.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
 
@@ -33,7 +34,7 @@ using VariantCounts = std::map<ActivityTrace, std::size_t>;
 /// order (f is partial; unmapped events are skipped). The single
 /// definition ActivityLog::add_case and the streaming VariantsSink
 /// both build from, so their variant multisets cannot drift apart.
-[[nodiscard]] ActivityTrace activity_trace(const Case& c, const Mapping& f);
+[[nodiscard]] ActivityTrace activity_trace(const MappedCase& walk);
 
 /// Folds `from` into `to` (multiplicities add) by moving map nodes —
 /// the trace keys of the consumed map are never copied. Shared by
@@ -53,7 +54,7 @@ class ActivityLog {
   /// build() iterates and the streaming pipeline's ActivityLogSink
   /// folds on pool threads (into private partials; ActivityLog itself
   /// is not thread-safe).
-  void add_case(const Case& c, const Mapping& f);
+  void add_case(const MappedCase& walk);
 
   /// Monoid merge: multiplicities add, per-case traces and the
   /// activity set union. Folding per-case partials in input order

@@ -49,23 +49,41 @@ Mapping Mapping::filtered(std::string name, std::function<bool(const Event&)> pr
                  });
 }
 
+namespace {
+
+/// "call\n" in a string reserved for `rest` more bytes: each built-in
+/// activity is built in one allocation.
+Activity call_prefix(const Event& e, std::size_t rest) {
+  Activity a;
+  a.reserve(e.call.size() + 1 + rest);
+  a += e.call;
+  a += '\n';
+  return a;
+}
+
+}  // namespace
+
 Mapping Mapping::call_top_dirs(int levels) {
   return Mapping("call_top_dirs(" + std::to_string(levels) + ")",
                  [levels](const Event& e) -> std::optional<Activity> {
-                   return std::string(e.call) + "\n" + top_dirs(e.fp, levels);
+                   Activity a = call_prefix(e, e.fp.size());
+                   append_top_dirs(a, e.fp, levels);
+                   return a;
                  });
 }
 
 Mapping Mapping::call_last_components(int n) {
   return Mapping("call_last_components(" + std::to_string(n) + ")",
                  [n](const Event& e) -> std::optional<Activity> {
-                   return std::string(e.call) + "\n" + last_components(e.fp, n);
+                   Activity a = call_prefix(e, e.fp.size());
+                   append_last_components(a, e.fp, n);
+                   return a;
                  });
 }
 
 Mapping Mapping::call_only() {
   return Mapping("call_only",
-                 [](const Event& e) -> std::optional<Activity> { return std::string(e.call); });
+                 [](const Event& e) -> std::optional<Activity> { return Activity(e.call); });
 }
 
 Mapping Mapping::call_site(SitePathMap map, int extra_levels) {
@@ -73,7 +91,8 @@ Mapping Mapping::call_site(SitePathMap map, int extra_levels) {
       "call_site(+" + std::to_string(extra_levels) + ")",
       [map = std::move(map), extra_levels](const Event& e) -> std::optional<Activity> {
         const auto m = map.match(e.fp);
-        std::string label = m.label;
+        Activity a = call_prefix(e, m.label.size() + m.remainder.size());
+        a += m.label;
         if (extra_levels > 0 && m.matched) {
           // Append up to `extra_levels` components after the site root:
           // /p/scratch/ssf/test with +1 -> $SCRATCH/ssf (Fig. 8b).
@@ -85,13 +104,13 @@ Mapping Mapping::call_site(SitePathMap map, int extra_levels) {
             if (pos >= rest.size()) break;
             std::size_t end = rest.find('/', pos);
             if (end == std::string_view::npos) end = rest.size();
-            label += "/";
-            label += rest.substr(pos, end - pos);
+            a += '/';
+            a += rest.substr(pos, end - pos);
             pos = end;
             ++taken;
           }
         }
-        return std::string(e.call) + "\n" + label;
+        return a;
       });
 }
 

@@ -321,6 +321,13 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
              health);
 }
 
+const model::MappedCase& CaseContext::mapped(const model::Mapping& f) const {
+  for (const auto& [mapping, walk] : walks_) {
+    if (mapping == &f) return walk;
+  }
+  return walks_.emplace_back(&f, model::MappedCase(c, f)).second;
+}
+
 // ---- DfgSink -----------------------------------------------------------
 
 namespace {
@@ -334,7 +341,7 @@ std::unique_ptr<SinkPartial> DfgSink::make_partial() const {
 }
 
 void DfgSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  dfg::add_case_trace(static_cast<DfgPartial&>(p).graph, ctx.c, *f_);
+  dfg::add_case_trace(static_cast<DfgPartial&>(p).graph, ctx.mapped(*f_));
 }
 
 void DfgSink::merge(std::unique_ptr<SinkPartial> p) {
@@ -374,7 +381,7 @@ std::unique_ptr<SinkPartial> ActivityLogSink::make_partial() const {
 }
 
 void ActivityLogSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  static_cast<ActivityLogPartial&>(p).log.add_case(ctx.c, *f_);
+  static_cast<ActivityLogPartial&>(p).log.add_case(ctx.mapped(*f_));
 }
 
 void ActivityLogSink::merge(std::unique_ptr<SinkPartial> p) {
@@ -397,7 +404,7 @@ void VariantsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
   // model::activity_trace is the same definition ActivityLog::add_case
   // folds, so the multiset is byte-identical to
   // ActivityLog::build(log, f).variants().
-  ++static_cast<VariantsPartial&>(p).counts[model::activity_trace(ctx.c, *f_)];
+  ++static_cast<VariantsPartial&>(p).counts[model::activity_trace(ctx.mapped(*f_))];
 }
 
 void VariantsSink::merge(std::unique_ptr<SinkPartial> p) {
@@ -417,7 +424,7 @@ std::unique_ptr<SinkPartial> IoStatsSink::make_partial() const {
 }
 
 void IoStatsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  static_cast<IoStatsPartial&>(p).p.add_case(ctx.c, *f_);
+  static_cast<IoStatsPartial&>(p).p.add_case(ctx.mapped(*f_));
 }
 
 void IoStatsSink::merge(std::unique_ptr<SinkPartial> p) {
@@ -437,7 +444,7 @@ std::unique_ptr<SinkPartial> EdgeStatsSink::make_partial() const {
 }
 
 void EdgeStatsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  static_cast<EdgeStatsPartial&>(p).p.add_case(ctx.c, *f_);
+  static_cast<EdgeStatsPartial&>(p).p.add_case(ctx.mapped(*f_));
 }
 
 void EdgeStatsSink::merge(std::unique_ptr<SinkPartial> p) {

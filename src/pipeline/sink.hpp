@@ -24,6 +24,12 @@
 //                       thread — the same place (and order) the
 //                       pipeline assembles cases and warnings.
 //
+// Shared per-case walk: every sink of one run folds a case through the
+// same CaseContext, one sink after another on one pool thread, and
+// ctx.mapped(f) memoizes the case's model::MappedCase per mapping —
+// so the DFG, variants, I/O- and edge-statistics sinks of a streamed
+// report (or a fold-shard child) map each event once between them.
+//
 // Determinism contract (same as the PR 4 pipeline, asserted by
 // tests/test_pipeline_sinks.cpp): every sink's output is byte-identical
 // to its staged counterpart at any worker count and any queue
@@ -49,11 +55,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dfg/dfg.hpp"
@@ -61,6 +69,7 @@
 #include "dfg/stats.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
+#include "model/case_walk.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
 #include "model/query.hpp"
@@ -127,10 +136,32 @@ class SinkPartial {
 /// into (null for cases that did not come from a parsed buffer). Copy
 /// the shared_ptrs into the partial if the sink's output outlives the
 /// run with views intact.
-struct CaseContext {
+///
+/// It also memoizes the case's mapped walk (see the header comment). A
+/// context lives for one case, whose sinks fold one after another on
+/// one pool thread, so the memo needs no lock.
+class CaseContext {
+ public:
+  CaseContext(const model::Case& c, const std::shared_ptr<strace::StringArena>& arena,
+              const std::shared_ptr<strace::TraceBuffer>& buffer)
+      : c(c), arena(arena), buffer(buffer) {}
+
+  CaseContext(const CaseContext&) = delete;
+  CaseContext& operator=(const CaseContext&) = delete;
+
   const model::Case& c;
   const std::shared_ptr<strace::StringArena>& arena;
   const std::shared_ptr<strace::TraceBuffer>& buffer;
+
+  /// `c` mapped under `f`: built on the first call, the same walk for
+  /// every later call with the same Mapping object (keyed by address;
+  /// `f` must outlive the context).
+  [[nodiscard]] const model::MappedCase& mapped(const model::Mapping& f) const;
+
+ private:
+  /// One walk per mapping seen; list nodes keep handed-out references
+  /// valid as walks are added.
+  mutable std::list<std::pair<const model::Mapping*, model::MappedCase>> walks_;
 };
 
 class CaseSink {
@@ -175,8 +206,8 @@ class CaseSink {
 
 /// Per-case DFG construction (dfg::add_case_trace folded through the
 /// Dfg monoid). trace_to_dfg is a thin wrapper over run() with this
-/// sink; the result equals dfg::build_parallel / build_serial on the
-/// returned log. `f` must outlive the run.
+/// sink; the result equals dfg::build_serial on the returned log. `f`
+/// must outlive the run.
 class DfgSink final : public CaseSink {
  public:
   explicit DfgSink(const model::Mapping& f) : f_(&f) {}

@@ -28,7 +28,7 @@
 //
 // Guarantees (asserted by tests/test_pipeline_stream.cpp and
 // tests/test_pipeline_sinks.cpp):
-//   - output equals the staged event_log_from_files + build_parallel
+//   - output equals the staged event_log_from_files + build_serial
 //     path byte for byte: case order, event order, warning strings and
 //     their order, and graph equality — at any worker count and any
 //     queue capacity;
@@ -72,13 +72,13 @@ namespace st::pipeline {
 
 struct TraceDfg {
   model::EventLog log;
-  dfg::Dfg graph;  ///< == dfg::build_parallel(log, f, pool)
+  dfg::Dfg graph;  ///< == dfg::build_serial(log, f)
 };
 
 /// Full streaming chain: parse, convert AND per-case DFG construction
-/// overlap on `pool`; partial graphs merge via the Dfg monoid exactly
-/// like dfg::build_parallel's reduce. The returned graph equals
-/// build_parallel(result.log, f, pool) on any input. Thin wrapper over
+/// overlap on `pool`; per-task partial graphs merge via the Dfg monoid.
+/// The returned graph equals build_serial(result.log, f) on any input.
+/// Thin wrapper over
 /// run(paths, pool, {&dfg_sink}).
 [[nodiscard]] TraceDfg trace_to_dfg(const std::vector<std::string>& paths,
                                     const model::Mapping& f, ThreadPool& pool,

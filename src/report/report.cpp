@@ -161,9 +161,16 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
 ReportData assemble_report_data(const model::EventLog& log, const model::Mapping& f,
                                 dfg::IoStatistics stats, const ReportOptions& opts) {
   ReportData data;
-  data.graph = dfg::build_serial(log, f);
+  // The graph and the edge statistics fold the same walk of each case.
+  dfg::EdgeStatistics::Partial edges;
+  model::MappedCase walk;
+  for (const model::Case& c : log.cases()) {
+    walk.assign(c, f);
+    dfg::add_case_trace(data.graph, walk);
+    edges.add_case(walk);
+  }
   data.stats = std::move(stats);
-  data.edge_stats = dfg::EdgeStatistics::compute(log, f);
+  data.edge_stats = std::move(edges).finalize();
   data.case_summaries = model::summarize_cases(log);
   data.case_count = log.case_count();
   data.total_events = log.total_events();

@@ -96,30 +96,61 @@ std::optional<double> parse_f64(std::string_view s) {
   return value;
 }
 
-std::string top_dirs(std::string_view path, int levels) {
-  if (path.empty() || path.front() != '/' || levels <= 0) return std::string(path);
+void append_top_dirs(std::string& out, std::string_view path, int levels) {
+  if (path.empty() || path.front() != '/' || levels <= 0) {
+    out += path;
+    return;
+  }
   // Count '/'-separated components from the root; stop after `levels`.
   std::size_t seen = 0;
   for (std::size_t i = 1; i < path.size(); ++i) {
     if (path[i] == '/') {
       ++seen;
-      if (seen == static_cast<std::size_t>(levels)) return std::string(path.substr(0, i));
+      if (seen == static_cast<std::size_t>(levels)) {
+        out += path.substr(0, i);
+        return;
+      }
     }
   }
-  return std::string(path);
+  out += path;
+}
+
+void append_last_components(std::string& out, std::string_view path, int n) {
+  if (n <= 0) return;
+  // Back up over the last `n` non-empty components...
+  std::size_t begin = path.size();
+  for (int found = 0; found < n; ++found) {
+    std::size_t i = begin;
+    while (i > 0 && path[i - 1] == '/') --i;
+    if (i == 0) break;
+    while (i > 0 && path[i - 1] != '/') --i;
+    begin = i;
+  }
+  // ...then copy them forward, one '/' between each (runs of '/' and a
+  // trailing '/' separate nothing).
+  bool first = true;
+  while (begin < path.size()) {
+    std::size_t end = path.find('/', begin);
+    if (end == std::string_view::npos) end = path.size();
+    if (end > begin) {
+      if (!first) out += '/';
+      out += path.substr(begin, end - begin);
+      first = false;
+    }
+    begin = end + 1;
+  }
+}
+
+std::string top_dirs(std::string_view path, int levels) {
+  std::string out;
+  append_top_dirs(out, path, levels);
+  return out;
 }
 
 std::string last_components(std::string_view path, int n) {
-  if (n <= 0) return std::string{};
-  const auto parts = split(path, '/');
-  std::vector<std::string_view> keep;
-  for (const auto& p : parts) {
-    if (!p.empty()) keep.push_back(p);
-  }
-  if (keep.size() > static_cast<std::size_t>(n)) {
-    keep.erase(keep.begin(), keep.end() - n);
-  }
-  return join(keep, "/");
+  std::string out;
+  append_last_components(out, path, n);
+  return out;
 }
 
 std::string dot_escape(std::string_view s) {

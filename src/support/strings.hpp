@@ -50,6 +50,11 @@ namespace st {
 ///   == "x86_64-linux-gnu/libc.so.6"  (the Fig. 4 node naming).
 [[nodiscard]] std::string last_components(std::string_view path, int n);
 
+/// top_dirs / last_components appended to `out` — no temporary string,
+/// so a mapping can build "call\n<path part>" in one reserved string.
+void append_top_dirs(std::string& out, std::string_view path, int levels);
+void append_last_components(std::string& out, std::string_view path, int n);
+
 /// Escapes a string for embedding inside a DOT double-quoted label.
 [[nodiscard]] std::string dot_escape(std::string_view s);
 

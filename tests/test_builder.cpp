@@ -39,28 +39,42 @@ TEST(Builder, SerialMatchesActivityLogConstruction) {
 }
 
 TEST(Builder, EmptyLogGivesEmptyDfg) {
-  ThreadPool pool(2);
   const auto f = model::Mapping::call_only();
   EXPECT_TRUE(build_serial(model::EventLog{}, f).empty());
-  EXPECT_TRUE(build_parallel(model::EventLog{}, f, pool).empty());
 }
 
-// Property: the parallel map-reduce construction (refs [24][25]) gives
-// exactly the serial graph, for many random logs and pool widths.
+/// The shape of every parallel or sharded construction: the cases
+/// split into `chunks` contiguous chunks, each folded into its own
+/// partial graph with add_case_trace, partials merged in order.
+Dfg chunked_build(const model::EventLog& log, const model::Mapping& f, std::size_t chunks) {
+  const auto cases = log.cases();
+  Dfg out;
+  for (std::size_t k = 0; k < chunks; ++k) {
+    Dfg partial;
+    for (std::size_t i = k * cases.size() / chunks; i < (k + 1) * cases.size() / chunks; ++i) {
+      add_case_trace(partial, model::MappedCase(cases[i], f));
+    }
+    out.merge(partial);
+  }
+  return out;
+}
+
+// Property: a chunked map-reduce over add_case_trace (refs [24][25];
+// what pipeline::DfgSink and the shard merge do) gives exactly the
+// serial graph, for many random logs and chunk counts.
 struct BuilderParam {
   std::uint64_t seed;
   std::size_t cases;
-  std::size_t threads;
+  std::size_t chunks;
 };
 
 class BuilderEquivalence : public ::testing::TestWithParam<BuilderParam> {};
 
-TEST_P(BuilderEquivalence, ParallelEqualsSerial) {
+TEST_P(BuilderEquivalence, ChunkedMergeEqualsSerial) {
   const auto param = GetParam();
   const auto log = random_log(param.seed, param.cases, 40);
   const auto f = model::Mapping::call_top_dirs(2);
-  ThreadPool pool(param.threads);
-  EXPECT_EQ(build_serial(log, f), build_parallel(log, f, pool));
+  EXPECT_EQ(build_serial(log, f), chunked_build(log, f, param.chunks));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -71,15 +85,14 @@ INSTANTIATE_TEST_SUITE_P(
                       BuilderParam{10, 255, 8}, BuilderParam{11, 256, 5}),
     [](const ::testing::TestParamInfo<BuilderParam>& param_info) {
       return "seed" + std::to_string(param_info.param.seed) + "_cases" +
-             std::to_string(param_info.param.cases) + "_threads" + std::to_string(param_info.param.threads);
+             std::to_string(param_info.param.cases) + "_chunks" + std::to_string(param_info.param.chunks);
     });
 
 TEST(Builder, PartialMappingDropsEventsInBothPaths) {
   const auto log = random_log(12, 25, 30);
   const auto f = model::Mapping::call_top_dirs(2).filtered_fp("/usr");
-  ThreadPool pool(4);
   const Dfg serial = build_serial(log, f);
-  EXPECT_EQ(serial, build_parallel(log, f, pool));
+  EXPECT_EQ(serial, chunked_build(log, f, 4));
   for (const auto& a : serial.activities()) {
     EXPECT_NE(a.find("/usr"), std::string::npos);
   }

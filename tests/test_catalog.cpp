@@ -384,6 +384,54 @@ TEST_F(CatalogTest, ServerSurvivesAClientThatResetsBeforeReadingItsReply) {
   loop.join();
 }
 
+/// Everything the server sends until it closes the connection.
+std::string read_to_eof(int fd) {
+  std::string reply;
+  char buf[4096];
+  for (;;) {
+    const auto n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  return reply;
+}
+
+TEST_F(CatalogTest, ServerSurvivesAnOverlongLineAndAThousandIdleConnections) {
+  auto catalog = make_catalog();
+  Server server(catalog, 0);
+  ThreadPool pool(2);
+  std::thread loop([&] { server.serve_forever(pool); });
+
+  // An unterminated line one byte past the 1 MiB cap — as an ndjson
+  // request, and as an HTTP header line: a typed error reply, then the
+  // server closes the connection.
+  for (const std::string prefix : {"", "GET /ping HTTP/1.0\r\nX-Big: "}) {
+    const int big = connect_to(server.port());
+    const std::string line = prefix + std::string((std::size_t{1} << 20) + 1, 'x');
+    std::size_t sent = 0;
+    while (sent < line.size()) {
+      const auto n = ::send(big, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(read_to_eof(big), "{\"ok\":false,\"error\":\"request line too long\"}\n")
+        << prefix;
+    ::close(big);
+  }
+
+  // 1,000 connections that send nothing and close.
+  for (int i = 0; i < 1000; ++i) ::close(connect_to(server.port()));
+
+  const int polite = connect_to(server.port());
+  send_text(polite, "ping\nshutdown\n");
+  const std::string reply = read_to_eof(polite);
+  EXPECT_TRUE(reply.starts_with("{\"ok\":true,\"verb\":\"ping\"")) << reply;
+  EXPECT_NE(reply.find("pong\n"), std::string::npos) << reply;
+  EXPECT_TRUE(reply.ends_with("bye\n")) << reply;
+  ::close(polite);
+  loop.join();  // the shutdown request stopped the accept loop
+}
+
 TEST_F(CatalogTest, StatReportsCorpusAndCacheCounters) {
   auto catalog = make_catalog();
   (void)catalog.filtered(Query());  // one miss

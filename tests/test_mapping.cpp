@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "support/strings.hpp"
 #include "testing_util.hpp"
 
 namespace st::model {
@@ -117,6 +122,89 @@ TEST(Mapping, CallSiteExtraLevelsNeverApplyToDefaultLabel) {
 TEST(Mapping, CallSiteExtraLevelsClampedToAvailableComponents) {
   const auto f = Mapping::call_site(SitePathMap::juwels_like(), 5);
   EXPECT_EQ(*f(ev("read", "/p/scratch/ssf/test", 0, 1, 8)), "read\n$SCRATCH/ssf/test");
+}
+
+// ---- the one-allocation built-ins against the original formulas ----------
+
+namespace reference {
+
+// The path helpers and the call_site label as they were before the
+// built-in mappings moved to append_top_dirs / append_last_components:
+// each built its part as a separate string, joined as
+// std::string(call) + "\n" + part.
+
+std::string top_dirs(std::string_view path, int levels) {
+  if (path.empty() || path.front() != '/' || levels <= 0) return std::string(path);
+  std::size_t seen = 0;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    if (path[i] == '/') {
+      ++seen;
+      if (seen == static_cast<std::size_t>(levels)) return std::string(path.substr(0, i));
+    }
+  }
+  return std::string(path);
+}
+
+std::string last_components(std::string_view path, int n) {
+  if (n <= 0) return std::string{};
+  const auto parts = split(path, '/');
+  std::vector<std::string_view> keep;
+  for (const auto& p : parts) {
+    if (!p.empty()) keep.push_back(p);
+  }
+  if (keep.size() > static_cast<std::size_t>(n)) {
+    keep.erase(keep.begin(), keep.end() - n);
+  }
+  return join(keep, "/");
+}
+
+std::string site_label(const SitePathMap& map, std::string_view fp, int extra_levels) {
+  const auto m = map.match(fp);
+  std::string label = m.label;
+  if (extra_levels > 0 && m.matched) {
+    std::string_view rest = m.remainder;
+    int taken = 0;
+    std::size_t pos = 0;
+    while (taken < extra_levels && pos < rest.size()) {
+      while (pos < rest.size() && rest[pos] == '/') ++pos;
+      if (pos >= rest.size()) break;
+      std::size_t end = rest.find('/', pos);
+      if (end == std::string_view::npos) end = rest.size();
+      label += "/";
+      label += rest.substr(pos, end - pos);
+      pos = end;
+      ++taken;
+    }
+  }
+  return label;
+}
+
+}  // namespace reference
+
+TEST(Mapping, BuiltinsEqualTheOriginalFormulas) {
+  const std::vector<std::string> paths = {
+      "/usr/lib/x86_64-linux-gnu/libc.so.6", "//p//scratch///ssf/test.0", "/p/scratch/ssf/",
+      "/p/scratch", "/p/scratchy/x", "/p/home/u/.bashrc", "/p/software/a/b/c/d/e/f",
+      "relative/path/x", "rel", "", "/", "///", "a//b/", "/dev/shm/f",
+      "/a_component_name_far_longer_than_any_small_string_buffer/b/c"};
+  const std::vector<std::string> calls = {"read", "pwrite64", "a_syscall_name_longer_than_sso"};
+  const auto site = SitePathMap::juwels_like();
+  for (const auto& call : calls) {
+    for (const auto& fp : paths) {
+      const Event e = ev(call, fp, 0, 1);
+      const std::string head = call + "\n";
+      SCOPED_TRACE(call + " " + fp);
+      for (int k = 0; k <= 6; ++k) {
+        EXPECT_EQ(*Mapping::call_top_dirs(k)(e), head + reference::top_dirs(fp, k)) << k;
+        EXPECT_EQ(*Mapping::call_last_components(k)(e), head + reference::last_components(fp, k))
+            << k;
+        EXPECT_EQ(top_dirs(fp, k), reference::top_dirs(fp, k)) << k;
+        EXPECT_EQ(last_components(fp, k), reference::last_components(fp, k)) << k;
+        EXPECT_EQ(*Mapping::call_site(site, k)(e), head + reference::site_label(site, fp, k)) << k;
+      }
+      EXPECT_EQ(*Mapping::call_only()(e), call);
+    }
+  }
 }
 
 TEST(Mapping, NamesAreDescriptive) {

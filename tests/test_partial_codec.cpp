@@ -72,8 +72,9 @@ ShardPartial sample_partial(const model::EventLog& log, bool with_query,
   p.activity_log = model::ActivityLog::build(log, f);
   p.variants = p.activity_log.variants();
   for (const auto& c : log.cases()) {
-    p.io.add_case(c, f);
-    p.edges.add_case(c, f);
+    const model::MappedCase walk(c, f);
+    p.io.add_case(walk);
+    p.edges.add_case(walk);
   }
   if (with_query) p.filtered = model::Query().calls({"read"}).apply(log);
   return p;
@@ -113,8 +114,9 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   dfg::IoStatistics::Partial io;
   dfg::EdgeStatistics::Partial edges;
   for (const auto& c : log.cases()) {
-    io.add_case(c, f);
-    edges.add_case(c, f);
+    const model::MappedCase walk(c, f);
+    io.add_case(walk);
+    edges.add_case(walk);
   }
 
   // One writer, one section per kind — the exact multi-section shape

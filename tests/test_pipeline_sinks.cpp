@@ -1,6 +1,6 @@
 // Acceptance tests for the CaseSink substrate (pipeline/sink.hpp):
 //   - every sink's output is byte-identical to its staged counterpart
-//     at 1, 2 and 4 workers: the DFG (build_serial/build_parallel),
+//     at 1, 2 and 4 workers: the DFG (build_serial),
 //     case summaries (summarize_cases, serial and pooled), the
 //     activity log (ActivityLog::build), the variant multiset
 //     (ActivityLog::build().variants()) and the query-filtered log
@@ -208,7 +208,7 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
 
     expect_same_log(reference, log);
     EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
-    EXPECT_EQ(graph_sink.graph(), dfg::build_parallel(log, f, pool)) << workers;
+    EXPECT_EQ(graph_sink.graph(), dfg::build_serial(log, f)) << workers;
     EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
     EXPECT_EQ(stats_sink.summaries(), model::summarize_cases(log, pool)) << workers;
     expect_same_activity_log(activity_sink.log(), ref_activity);

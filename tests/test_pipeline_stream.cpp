@@ -1,10 +1,10 @@
 // Acceptance tests for the streaming trace -> EventLog -> DFG pipeline
 // (pipeline/stream.hpp):
 //   - streamed output is byte-identical to the staged path (sequential
-//     per-file read + convert + build_parallel): case order, event
+//     per-file read + convert + build_serial): case order, event
 //     order, warning strings and their order, graph equality — at 1, 2
 //     and 4 workers,
-//   - trace_to_dfg's graph equals dfg::build_parallel on the same log,
+//   - trace_to_dfg's graph equals dfg::build_serial on the same log,
 //   - per-file fold completion (read_trace_files_streamed) matches the
 //     sequential reader file by file,
 //   - lifetime: the log owns every view after all intermediates die,
@@ -197,7 +197,7 @@ TEST_F(PipelineStream, StreamedLogMatchesStagedAt124Workers) {
   }
 }
 
-TEST_F(PipelineStream, TraceToDfgMatchesStagedBuildParallel) {
+TEST_F(PipelineStream, TraceToDfgMatchesStagedBuild) {
   const auto paths = make_corpus(3);
   const auto reference = staged_log(paths);
   const auto f = model::Mapping::call_top_dirs(2);
@@ -207,9 +207,9 @@ TEST_F(PipelineStream, TraceToDfgMatchesStagedBuildParallel) {
     opts.min_chunk_bytes = 512;
     const auto result = pipeline::trace_to_dfg(paths, f, pool, opts);
     expect_same_log(reference, result.log);
-    // The streamed graph equals both the staged build_parallel and a
+    // The streamed graph equals both the staged build_serial and a
     // build over the streamed log itself.
-    EXPECT_EQ(result.graph, dfg::build_parallel(reference, f, pool));
+    EXPECT_EQ(result.graph, dfg::build_serial(reference, f));
     EXPECT_EQ(result.graph, dfg::build_serial(result.log, f));
   }
 }

@@ -157,12 +157,18 @@ TEST_P(PipelineProperty, MergedPartitionEqualsWhole) {
   EXPECT_EQ(merged, whole);
 }
 
-TEST_P(PipelineProperty, ParallelBuildEqualsSerial) {
+TEST_P(PipelineProperty, PerCasePartialsMergeToSerial) {
+  // The DfgSink shape: one partial graph per case, merged in order.
   Xoshiro256 rng(GetParam());
   const auto log = random_event_log(rng, 24);
   const auto f = model::Mapping::call_top_dirs(2);
-  ThreadPool pool(4);
-  EXPECT_EQ(dfg::build_serial(log, f), dfg::build_parallel(log, f, pool));
+  dfg::Dfg merged;
+  for (const model::Case& c : log.cases()) {
+    dfg::Dfg partial;
+    dfg::add_case_trace(partial, model::MappedCase(c, f));
+    merged.merge(partial);
+  }
+  EXPECT_EQ(dfg::build_serial(log, f), merged);
 }
 
 TEST_P(PipelineProperty, ActivityLogMultiplicitiesSumToCaseCount) {

@@ -155,7 +155,7 @@ TEST(IoStatsPartial, MergeGroupingCannotChangeBits) {
 
   auto partial_of = [&](std::initializer_list<const model::Case*> cases) {
     dfg::IoStatistics::Partial p;
-    for (const model::Case* c : cases) p.add_case(*c, f);
+    for (const model::Case* c : cases) p.add_case(model::MappedCase(*c, f));
     return p;
   };
 
@@ -184,15 +184,15 @@ TEST(EdgeStatsPartial, MergeGroupingCannotChangeMaps) {
   dfg::EdgeStatistics::Partial merged;
   {
     dfg::EdgeStatistics::Partial a;
-    a.add_case(c0, f);
+    a.add_case(model::MappedCase(c0, f));
     dfg::EdgeStatistics::Partial b;
-    b.add_case(c1, f);
+    b.add_case(model::MappedCase(c1, f));
     merged = std::move(a);
     merged.merge(std::move(b));
   }
   dfg::EdgeStatistics::Partial serial;
-  serial.add_case(c0, f);
-  serial.add_case(c1, f);
+  serial.add_case(model::MappedCase(c0, f));
+  serial.add_case(model::MappedCase(c1, f));
   EXPECT_EQ(merged, serial);
   EXPECT_EQ(merged.finalize().per_edge(), serial.finalize().per_edge());
 }
