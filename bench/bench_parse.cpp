@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "model/from_strace.hpp"
 #include "model/query.hpp"
@@ -24,6 +25,7 @@
 #include "strace/scan.hpp"
 #include "strace/scan_kernels.hpp"
 #include "strace/writer.hpp"
+#include "testdata.hpp"
 
 namespace {
 
@@ -145,7 +147,8 @@ void BM_ReadTraceMixed(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadTraceMixed)->Range(1 << 14, 1 << 17);
 
-/// The chunked parallel reader on the same corpus (identical output).
+/// The streamed reader on the same corpus, one buffer split into
+/// chunks (identical output).
 void BM_ReadTraceParallelMixed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::string text = make_mixed_trace(n);
@@ -157,12 +160,13 @@ void BM_ReadTraceParallelMixed(benchmark::State& state) {
     state.PauseTiming();
     auto buffer = std::make_shared<strace::TraceBuffer>(text);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(strace::read_trace_parallel(std::move(buffer), opts));
+    benchmark::DoNotOptimize(bench::read_collected({std::move(buffer)}, opts));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
 }
-BENCHMARK(BM_ReadTraceParallelMixed)->Range(1 << 14, 1 << 17);
+// Real time: the calling thread only waits while the pool parses.
+BENCHMARK(BM_ReadTraceParallelMixed)->Range(1 << 14, 1 << 17)->UseRealTime();
 
 // ---- scan kernels ------------------------------------------------------
 
@@ -460,8 +464,8 @@ void BM_MixedFiles_PerFileOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_MixedFiles_PerFileOnly)->UseRealTime();
 
-/// PR 1 single-file path applied file by file: intra-file parallelism
-/// only (files processed one after another).
+/// Intra-file parallelism only: the streamed reader applied to one file
+/// at a time, files processed one after another.
 void BM_MixedFiles_IntraFileOnly(benchmark::State& state) {
   const auto& set = MixedFileSet::instance();
   ThreadPool pool(0);
@@ -472,7 +476,7 @@ void BM_MixedFiles_IntraFileOnly(benchmark::State& state) {
     std::vector<strace::ReadResult> results;
     results.reserve(set.paths().size());
     for (const auto& path : set.paths()) {
-      results.push_back(strace::read_trace_file_parallel(path, opts));
+      results.push_back(std::move(bench::read_collected({path}, opts).front()));
     }
     benchmark::DoNotOptimize(results);
   }
@@ -480,7 +484,8 @@ void BM_MixedFiles_IntraFileOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_MixedFiles_IntraFileOnly)->UseRealTime();
 
-/// This PR: one work queue of (file, chunk) tasks across all files.
+/// Mixed parallelism: one work queue of (file, chunk) tasks across all
+/// files.
 void BM_MixedFiles_Mixed(benchmark::State& state) {
   const auto& set = MixedFileSet::instance();
   ThreadPool pool(0);
@@ -488,7 +493,7 @@ void BM_MixedFiles_Mixed(benchmark::State& state) {
   opts.pool = &pool;
   opts.min_chunk_bytes = 1 << 18;
   for (auto _ : state) {
-    auto results = strace::read_trace_files_mixed(set.paths(), opts);
+    auto results = bench::read_collected(set.paths(), opts);
     benchmark::DoNotOptimize(results);
   }
   state.SetBytesProcessed(state.iterations() * set.total_bytes());

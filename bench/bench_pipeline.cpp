@@ -25,7 +25,6 @@
 #include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
-#include "pipeline/stream.hpp"
 #include "strace/filename.hpp"
 #include "strace/reader.hpp"
 #include "support/timeparse.hpp"
@@ -189,15 +188,15 @@ dfg::Dfg staged_build(const model::EventLog& log, const model::Mapping& f, Threa
 /// then convert ALL files (parallel_for on the same pool), then
 /// staged_build — the pre-pipeline construction, kept here as the
 /// baseline pipeline_overlap_speedup_vs_staged is measured against.
-dfg::Dfg staged_trace_to_dfg(const std::vector<std::string>& paths, const model::Mapping& f,
-                             ThreadPool& pool) {
+dfg::Dfg staged_dfg(const std::vector<std::string>& paths, const model::Mapping& f,
+                    ThreadPool& pool) {
   std::vector<strace::TraceFileId> ids;
   ids.reserve(paths.size());
   for (const auto& p : paths) ids.push_back(*strace::parse_trace_filename(p));
 
   strace::ParallelReadOptions opts;
   opts.pool = &pool;
-  auto results = strace::read_trace_files_mixed(paths, opts);  // barrier 1
+  auto results = bench::read_collected(paths, opts);  // barrier 1
 
   const std::size_t n = results.size();
   const std::size_t chunks = default_chunks(pool, n);
@@ -231,7 +230,7 @@ void BM_PipelineStaged(benchmark::State& state) {
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::uint64_t traces = 0;
   for (auto _ : state) {
-    const auto g = staged_trace_to_dfg(paths, f, pool);
+    const auto g = staged_dfg(paths, f, pool);
     traces += g.trace_count();
     benchmark::DoNotOptimize(g);
   }
@@ -246,9 +245,11 @@ void BM_PipelineStreamed(benchmark::State& state) {
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::uint64_t traces = 0;
   for (auto _ : state) {
-    const auto result = pipeline::trace_to_dfg(paths, f, pool);
-    traces += result.graph.trace_count();
-    benchmark::DoNotOptimize(result);
+    pipeline::DfgSink sink(f);
+    const auto log = pipeline::run(paths, pool, {&sink});
+    traces += sink.graph().trace_count();
+    benchmark::DoNotOptimize(log);
+    benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(traces));
 }
@@ -267,7 +268,7 @@ void BM_MultiSinkStaged(benchmark::State& state) {
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::uint64_t traces = 0;
   for (auto _ : state) {
-    const auto log = pipeline::event_log_streamed(paths, pool);  // barrier
+    const auto log = pipeline::run(paths, pool, {});             // barrier
     const auto g = staged_build(log, f, pool);                   // pass 1
     const auto summaries = model::summarize_cases(log, pool);    // pass 2
     const auto variants = model::ActivityLog::build(log, f).variants();  // pass 3

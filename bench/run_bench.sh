@@ -29,8 +29,13 @@
 #         over the 1-worker point>,
 #     "query_parallel_speedup": <best multi-worker Query::apply point
 #         over the 1-worker point>,
-#     "current": <google-benchmark JSON of bench_parse>
+#     "nproc": <CPUs of the recording machine>,
+#     "repetitions": 5,
+#     "cv_by_benchmark": {"<run name>": <coefficient of variation of
+#         its real time over the repetitions>},
+#     "current": <google-benchmark JSON of bench_parse (aggregates only)>
 #   }
+# Every figure above is computed from the median of 5 repetitions.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -72,7 +77,9 @@ trap 'rm -f "$parse_raw" "$pipeline_raw" "$elog_raw" "$shard_raw" "$nofault_raw"
 
 "$build_dir/bench/bench_parse" \
   --benchmark_format=json \
-  --benchmark_min_time=0.5 \
+  --benchmark_min_time=0.2 \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   >"$parse_raw"
 
 "$build_dir/bench/bench_pipeline" \
@@ -217,16 +224,25 @@ EOF
 
 python3 - "$parse_raw" "$repo_root/bench/baseline_seed.json" "$out_dir/BENCH_parse.json" <<'EOF'
 import json
+import os
 import sys
 
 current = json.load(open(sys.argv[1]))
 baseline = json.load(open(sys.argv[2]))
 
 def metric(name, key):
+    """`key` of the median over the repetitions of run `name`."""
     for bench in current.get("benchmarks", []):
-        if bench.get("name") == name and key in bench:
+        if (bench.get("run_name") == name and bench.get("aggregate_name") == "median"
+                and key in bench):
             return bench[key]
     return None
+
+cv_by_benchmark = {
+    bench["run_name"]: round(bench["real_time"], 3)
+    for bench in current.get("benchmarks", [])
+    if bench.get("aggregate_name") == "cv"
+}
 
 def ratio(num, den):
     if num is None or den is None or den == 0:
@@ -243,7 +259,7 @@ if mixed_bps is not None:
 elog_speedup = ratio(metric("BM_EventLogFromRecords/131072", "items_per_second"),
                      metric("BM_EventLogFromRecordsCopying/131072", "items_per_second"))
 
-# Mixed (file, chunk) work queue vs the better PR 1 either/or path.
+# Mixed (file, chunk) work queue vs the better either/or path.
 mixed = metric("BM_MixedFiles_Mixed/real_time", "bytes_per_second")
 per_file = metric("BM_MixedFiles_PerFileOnly/real_time", "bytes_per_second")
 intra = metric("BM_MixedFiles_IntraFileOnly/real_time", "bytes_per_second")
@@ -291,6 +307,9 @@ out = {
     "convert_parallel_speedup": parallel_speedup(convert_scaling),
     "query_scaling": query_scaling,
     "query_parallel_speedup": parallel_speedup(query_scaling),
+    "nproc": os.cpu_count(),
+    "repetitions": 5,
+    "cv_by_benchmark": cv_by_benchmark,
     "current": current,
 }
 json.dump(out, open(sys.argv[3], "w"), indent=1)

@@ -2,13 +2,15 @@
 # Sibling of run_sanitize.sh: builds the ThreadSanitizer preset and
 # race-checks the concurrency-dense handoff code — the StageQueue /
 # ThreadPool pipeline (test_stage_queue, test_pipeline_stream,
-# test_pipeline_sinks) plus the sink partials and shard coordinator
-# (test_stats_sinks, test_shard; elog_tool is built so the
-# posix_spawn subprocess tests run instead of skipping) plus the
-# serve-mode catalog (test_catalog: single-flight stampedes and
-# concurrent mixed access against the LRU memo table). ASan proves
-# the pipeline's lifetime story; this proves its synchronization
-# story. CI runs the same selection in the tsan job.
+# test_pipeline_sinks), the streamed reader's pool tasks and callbacks
+# (test_parallel_reader, test_ingest_mixed), the sink partials and
+# shard coordinator (test_stats_sinks, test_shard; elog_tool is built
+# so the posix_spawn subprocess tests run instead of skipping), the
+# supervisor under injected faults (test_faults) and the serve-mode
+# catalog (test_catalog: single-flight stampedes and concurrent mixed
+# access against the LRU memo table). ASan proves the pipeline's
+# lifetime story; this proves its synchronization story. CI runs the
+# same selection in the tsan job.
 #
 #   bench/run_tsan.sh [build-dir]
 #
@@ -24,11 +26,12 @@ cmake -S "$repo_root" -B "$build_dir" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_stage_queue test_pipeline_stream test_pipeline_sinks \
-  test_stats_sinks test_shard test_catalog elog_tool
+  test_stats_sinks test_shard test_faults test_catalog test_parallel_reader test_ingest_mixed \
+  elog_tool
 
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "$build_dir" \
-  -R 'test_stage_queue|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_shard|test_catalog' \
+  -R 'test_stage_queue|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_shard|test_faults|test_catalog|test_parallel_reader|test_ingest_mixed' \
   --output-on-failure
 
 echo "tsan suite passed"

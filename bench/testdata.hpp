@@ -1,14 +1,39 @@
-// Synthetic event-log generators shared by the scaling benchmarks.
+// Synthetic event-log generators shared by the scaling benchmarks, and
+// the barrier the staged baselines put behind the streamed reader.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "model/event_log.hpp"
+#include "strace/reader.hpp"
 #include "support/rng.hpp"
 
 namespace st::bench {
+
+/// Every buffer's ReadResult in input order, once all have parsed on
+/// opts.pool (wait() rethrows the earliest failure).
+inline std::vector<strace::ReadResult> read_collected(
+    std::vector<std::shared_ptr<strace::TraceBuffer>> buffers,
+    const strace::ParallelReadOptions& opts) {
+  std::vector<strace::ReadResult> results(buffers.size());
+  auto handle = strace::read_trace_buffers_streamed(
+      std::move(buffers), opts,
+      [&results](std::size_t i, strace::ReadResult&& r) { results[i] = std::move(r); });
+  handle.wait();
+  return results;
+}
+
+/// The same over mmap-opened files.
+inline std::vector<strace::ReadResult> read_collected(const std::vector<std::string>& paths,
+                                                      const strace::ParallelReadOptions& opts) {
+  std::vector<std::shared_ptr<strace::TraceBuffer>> buffers;
+  buffers.reserve(paths.size());
+  for (const auto& path : paths) buffers.push_back(strace::TraceBuffer::from_file_mmap(path));
+  return read_collected(std::move(buffers), opts);
+}
 
 /// `cases` cases of `events_per_case` events over `distinct_paths`
 /// file paths (which bounds the activity count m of the DFG).

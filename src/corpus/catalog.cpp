@@ -7,7 +7,7 @@
 #include "dfg/builder.hpp"
 #include "dfg/coloring.hpp"
 #include "elog/store.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "support/errors.hpp"
 
 namespace st::corpus {
@@ -58,7 +58,7 @@ void Catalog::load(const std::vector<std::string>& inputs, ThreadPool& pool) {
   if (!traces.empty()) {
     pipeline::StreamOptions stream_opts;
     static_cast<RunPolicy&>(stream_opts) = opts_.policy;
-    log = pipeline::event_log_streamed(traces, pool, stream_opts);
+    log = pipeline::run(traces, pool, {}, stream_opts);
   }
   // Ingestion warnings before the unions: derived logs drop them.
   for (const auto& w : log.warnings()) load_warnings_.push_back(w);

@@ -267,9 +267,11 @@ std::string url_decode(std::string_view s) {
   return out;
 }
 
-/// "GET /report?q=fp~%2Fp HTTP/1.1" -> the ndjson request line.
+}  // namespace
+
 std::string request_from_http(std::string_view request_line) {
-  std::string_view rest = request_line.substr(4);  // past "GET "
+  std::string_view rest = request_line;
+  if (rest.starts_with("GET ")) rest.remove_prefix(4);
   const auto sp = rest.find(' ');
   if (sp != std::string_view::npos) rest = rest.substr(0, sp);
   if (!rest.empty() && rest.front() == '/') rest.remove_prefix(1);
@@ -284,8 +286,6 @@ std::string request_from_http(std::string_view request_line) {
   }
   return arg.empty() ? verb : verb + " " + arg;
 }
-
-}  // namespace
 
 Server::Server(Catalog& catalog, std::uint16_t port) : catalog_(catalog) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -65,6 +65,13 @@ struct Response {
 /// in the header; the loops below watch for it.
 [[nodiscard]] Response handle_request(Catalog& catalog, std::string_view line);
 
+/// The HTTP transport's request line -> the ndjson request line:
+/// "GET /report?q=fp~%2Fp HTTP/1.1" -> "report fp~/p". The query
+/// string's `q` parameter is percent-decoded; no verb means `stat`.
+/// Total over any input (a missing "GET " prefix is tolerated), so a
+/// hostile line can only produce a request handle_request rejects.
+[[nodiscard]] std::string request_from_http(std::string_view request_line);
+
 /// The stdio/pipe transport: one request per input line until EOF or a
 /// `shutdown` request. Responses are written as `header\n` + payload
 /// (payload bytes verbatim, no extra framing), flushed per request.

@@ -37,8 +37,8 @@ using VariantCounts = std::map<ActivityTrace, std::size_t>;
 [[nodiscard]] ActivityTrace activity_trace(const MappedCase& walk);
 
 /// Folds `from` into `to` (multiplicities add) by moving map nodes —
-/// the trace keys of the consumed map are never copied. Shared by
-/// ActivityLog::merge and the streaming VariantsSink.
+/// the trace keys of the consumed map are never copied. The merge of
+/// the streaming VariantsSink and of shard partials.
 void merge_variant_counts(VariantCounts& to, VariantCounts&& from);
 
 class ActivityLog {
@@ -51,27 +51,8 @@ class ActivityLog {
   static ActivityLog build(const EventLog& log, const Mapping& f);
 
   /// Folds one case's activity trace in — the per-case unit step
-  /// build() iterates and the streaming pipeline's ActivityLogSink
-  /// folds on pool threads (into private partials; ActivityLog itself
-  /// is not thread-safe).
+  /// build() iterates.
   void add_case(const MappedCase& walk);
-
-  /// Monoid merge: multiplicities add, per-case traces and the
-  /// activity set union. Folding per-case partials in input order
-  /// produces exactly build()'s result (all containers are ordered, so
-  /// the merge is order-insensitive up to duplicate CaseIds, where the
-  /// first merged trace wins — matching build()'s first-wins emplace).
-  void merge(ActivityLog&& other);
-
-  /// Reconstructs a log from its observable parts — the inverse of the
-  /// five accessors below, used by the shard partial codec. All fields
-  /// are carried explicitly (case_count can exceed per_case.size()
-  /// when duplicate CaseIds were merged first-wins).
-  [[nodiscard]] static ActivityLog from_parts(VariantCounts variants,
-                                              std::map<CaseId, ActivityTrace> per_case,
-                                              std::set<Activity> activities,
-                                              std::size_t case_count,
-                                              std::size_t total_instances);
 
   /// Distinct traces with multiplicities, deterministically ordered
   /// (lexicographic by trace). Σ multiplicities == case count.

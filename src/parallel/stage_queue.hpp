@@ -1,12 +1,13 @@
 // Bounded MPMC completion queue — the hand-off primitive between
 // pipeline stages that run on one shared ThreadPool.
 //
-// The shape it exists for (src/pipeline/stream.cpp): stage-A tasks on
-// pool workers push completed work items; a dispatcher thread pops and
-// submits stage-B continuations to the same pool, so the stages
-// overlap instead of meeting at a barrier. The bounded capacity is
-// backpressure — producers block while the dispatcher falls behind, so
-// parsed-but-unconverted results can never pile up without limit.
+// The shape it exists for (pipeline::run, src/pipeline/sink.cpp):
+// stage-A tasks on pool workers push completed work items; a
+// dispatcher thread pops and submits stage-B continuations to the same
+// pool, so the stages overlap instead of meeting at a barrier. The
+// bounded capacity is backpressure — producers block while the
+// dispatcher falls behind, so parsed-but-unconverted results can never
+// pile up without limit.
 //
 // Semantics:
 //  - push() blocks while the queue is full; returns false (item

@@ -27,6 +27,9 @@ using elog::zigzag_encode;
 
 [[noreturn]] void fail(const std::string& what) { throw IoError("partial blob: " + what); }
 
+/// Formerly the per-case activity log; no writer emits it any more.
+constexpr std::uint32_t kRetiredSectionKind = 5;
+
 void put_svarint(std::string& out, std::int64_t v) { put_uvarint(out, zigzag_encode(v)); }
 
 void put_double(std::string& out, double v) { put_u64(out, std::bit_cast<std::uint64_t>(v)); }
@@ -177,7 +180,7 @@ PartialReader::PartialReader(std::string_view blob) {
     const std::uint64_t length = load_u64(p + 8);
     p += 16;
     if (reserved != 0) fail("nonzero reserved field");
-    if (kind < 1 || kind > 9) fail("unknown section kind");
+    if (kind < 1 || kind > 9 || kind == kRetiredSectionKind) fail("unknown section kind");
     if (length > static_cast<std::uint64_t>(end - p) ||
         static_cast<std::uint64_t>(end - p) - length < 4)
       fail("section length exceeds blob");
@@ -317,47 +320,6 @@ std::vector<model::CaseSummary> decode_case_stats_partial(const PartialReader& r
   return out;
 }
 
-void encode_activity_log_partial(PartialWriter& w, const model::ActivityLog& log) {
-  std::string s;
-  put_variant_counts(w, s, log.variants());
-  put_uvarint(s, log.per_case().size());
-  for (const auto& [id, trace] : log.per_case()) {
-    put_case_id(w, s, id);
-    put_uvarint(s, trace.size());
-    for (const model::Activity& a : trace) put_uvarint(s, w.intern(a));
-  }
-  put_uvarint(s, log.activities().size());
-  for (const model::Activity& a : log.activities()) put_uvarint(s, w.intern(a));
-  put_uvarint(s, log.case_count());
-  put_uvarint(s, log.total_activity_instances());
-  w.add_section(PartialSection::kActivityLog, std::move(s));
-}
-
-model::ActivityLog decode_activity_log_partial(const PartialReader& r) {
-  Cursor c(r.section(PartialSection::kActivityLog));
-  model::VariantCounts variants = read_variant_counts(r, c);
-  std::map<model::CaseId, model::ActivityTrace> per_case;
-  const std::size_t cases = c.count();
-  for (std::size_t i = 0; i < cases; ++i) {
-    model::CaseId id = read_case_id(r, c);
-    const std::size_t len = c.count();
-    model::ActivityTrace trace;
-    trace.reserve(len);
-    for (std::size_t j = 0; j < len; ++j) trace.emplace_back(r.pool_string(c.uvarint()));
-    per_case.emplace_hint(per_case.end(), std::move(id), std::move(trace));
-  }
-  std::set<model::Activity> activities;
-  const std::size_t acts = c.count();
-  for (std::size_t i = 0; i < acts; ++i) {
-    activities.emplace_hint(activities.end(), r.pool_string(c.uvarint()));
-  }
-  const auto case_count = static_cast<std::size_t>(c.uvarint());
-  const auto total_instances = static_cast<std::size_t>(c.uvarint());
-  c.expect_exhausted();
-  return model::ActivityLog::from_parts(std::move(variants), std::move(per_case),
-                                        std::move(activities), case_count, total_instances);
-}
-
 void encode_variants_partial(PartialWriter& w, const model::VariantCounts& v) {
   std::string s;
   put_variant_counts(w, s, v);
@@ -493,7 +455,6 @@ void ShardPartial::merge(ShardPartial&& other) {
   case_summaries.insert(case_summaries.end(),
                         std::make_move_iterator(other.case_summaries.begin()),
                         std::make_move_iterator(other.case_summaries.end()));
-  activity_log.merge(std::move(other.activity_log));
   model::merge_variant_counts(variants, std::move(other.variants));
   io.merge(std::move(other.io));
   edges.merge(std::move(other.edges));
@@ -520,7 +481,6 @@ std::string encode_shard_partial(const ShardPartial& p) {
   w.add_section(PartialSection::kMeta, std::move(meta));
   encode_dfg_partial(w, p.graph);
   encode_case_stats_partial(w, p.case_summaries);
-  encode_activity_log_partial(w, p.activity_log);
   encode_variants_partial(w, p.variants);
   encode_io_stats_partial(w, p.io);
   encode_edge_stats_partial(w, p.edges);
@@ -551,7 +511,6 @@ ShardPartial decode_shard_partial(std::string_view blob) {
   meta.expect_exhausted();
   p.graph = decode_dfg_partial(r);
   p.case_summaries = decode_case_stats_partial(r);
-  p.activity_log = decode_activity_log_partial(r);
   p.variants = decode_variants_partial(r);
   p.io = decode_io_stats_partial(r);
   p.edges = decode_edge_stats_partial(r);

@@ -31,8 +31,8 @@
 //                  quarantined)
 //   3 Dfg          nodes, edges, trace count
 //   4 CaseStats    CaseSummary sequence (input order)
-//   5 ActivityLog  variants + per-case traces + activity set + counters
-//   6 Variants     the variant multiset alone
+//   5 (retired)    rejected as an unknown section kind
+//   6 Variants     the variant multiset
 //   7 QueryLog     the query-filtered EventLog as embedded elog v2 bytes
 //   8 IoStats      IoStatistics::Partial (per-case contributions)
 //   9 EdgeStats    EdgeStatistics::Partial (integer edge-gap map)
@@ -63,7 +63,7 @@ enum class PartialSection : std::uint32_t {
   kMeta = 2,
   kDfg = 3,
   kCaseStats = 4,
-  kActivityLog = 5,
+  // 5 is retired: the reader rejects it as an unknown kind.
   kVariants = 6,
   kQueryLog = 7,
   kIoStats = 8,
@@ -129,9 +129,6 @@ void encode_dfg_partial(PartialWriter& w, const dfg::Dfg& g);
 void encode_case_stats_partial(PartialWriter& w, const std::vector<model::CaseSummary>& s);
 [[nodiscard]] std::vector<model::CaseSummary> decode_case_stats_partial(const PartialReader& r);
 
-void encode_activity_log_partial(PartialWriter& w, const model::ActivityLog& log);
-[[nodiscard]] model::ActivityLog decode_activity_log_partial(const PartialReader& r);
-
 void encode_variants_partial(PartialWriter& w, const model::VariantCounts& v);
 [[nodiscard]] model::VariantCounts decode_variants_partial(const PartialReader& r);
 
@@ -160,7 +157,6 @@ struct ShardPartial {
   DataHealth health;
   dfg::Dfg graph;
   std::vector<model::CaseSummary> case_summaries;
-  model::ActivityLog activity_log;
   model::VariantCounts variants;
   dfg::IoStatistics::Partial io;
   dfg::EdgeStatistics::Partial edges;

@@ -358,14 +358,12 @@ std::string fold_shard(const std::vector<std::string>& paths, const ShardOptions
 
   DfgSink graph_sink(f);
   CaseStatsSink stats_sink;
-  ActivityLogSink activity_sink(f);
   VariantsSink variants_sink(f);
   IoStatsSink io_sink(f);
   EdgeStatsSink edge_sink(f);
   std::optional<QuerySink> query_sink;
-  std::vector<CaseSink*> sinks = {&graph_sink, &stats_sink,
-                                  &activity_sink, &variants_sink,
-                                  &io_sink, &edge_sink};
+  std::vector<CaseSink*> sinks = {&graph_sink, &stats_sink, &variants_sink, &io_sink,
+                                  &edge_sink};
   if (opts.query_fp || opts.query_calls) {
     model::Query query;
     if (opts.query_fp) query = query.fp_contains(*opts.query_fp);
@@ -389,7 +387,6 @@ std::string fold_shard(const std::vector<std::string>& paths, const ShardOptions
   p.health = std::move(health);  // only the counters travel in the blob
   p.graph = graph_sink.take_graph();
   p.case_summaries = stats_sink.take_summaries();
-  p.activity_log = activity_sink.take_log();
   p.variants = variants_sink.take_variants();
   p.io = io_sink.take_partial();
   p.edges = edge_sink.take_partial();
@@ -407,7 +404,6 @@ ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts) {
   out.warnings = std::move(total.warnings);
   out.graph = std::move(total.graph);
   out.case_summaries = std::move(total.case_summaries);
-  out.activity_log = std::move(total.activity_log);
   out.variants = std::move(total.variants);
   out.io_stats = total.io.finalize();
   out.edge_stats = total.edges.finalize();

@@ -123,15 +123,16 @@ struct ShardRunReport {
   [[nodiscard]] std::vector<std::string> to_lines() const;
 };
 
-/// Everything the merged shard partials finalize into: the same
-/// analytics one pipeline::run pass over all files produces.
+/// Everything the merged shard partials finalize into: what the
+/// report renders from, the same analytics one pipeline::run pass over
+/// all files produces. Per-case activity traces are not carried; the
+/// variant multiset is all the report needs of L_f(C).
 struct ShardedAnalytics {
   std::uint64_t case_count = 0;
   std::uint64_t total_events = 0;
   std::vector<std::string> warnings;
   dfg::Dfg graph;
   std::vector<model::CaseSummary> case_summaries;
-  model::ActivityLog activity_log;
   model::VariantCounts variants;
   dfg::IoStatistics io_stats;
   dfg::EdgeStatistics edge_stats;
@@ -148,8 +149,9 @@ struct ShardedAnalytics {
 };
 
 /// One shard's whole job: streams `paths` through pipeline::run with
-/// every analytic sink (plus a QuerySink when opts carries a query)
-/// and returns the encoded ShardPartial blob. This is the body of the
+/// the report's sinks (DFG, case statistics, variants, I/O and edge
+/// statistics, plus a QuerySink when opts carries a query) and returns
+/// the encoded ShardPartial blob. This is the body of the
 /// `elog_tool fold-shard` verb and of in-process sharding alike.
 [[nodiscard]] std::string fold_shard(const std::vector<std::string>& paths,
                                      const ShardOptions& opts);

@@ -118,8 +118,8 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
     ids[i] = std::move(*id);
   }
 
-  // Open every surviving file in input order (same first-unopenable
-  // IoError contract read_trace_files_streamed had). Live indices are
+  // Open every surviving file in input order (the first-unopenable
+  // IoError contract of read_trace_files_streamed). Live indices are
   // dense over the files that actually parse; input order is preserved,
   // so lowest-live-index error ranking equals lowest-input-index.
   std::vector<std::shared_ptr<strace::TraceBuffer>> buffers;
@@ -142,8 +142,10 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
   }
   const std::size_t live = buffers.size();
 
-  strace::ParallelReadOptions read_opts = opts;
+  strace::ParallelReadOptions read_opts;
+  static_cast<strace::ReadOptions&>(read_opts) = opts;
   read_opts.pool = &pool;
+  read_opts.min_chunk_bytes = opts.min_chunk_bytes;
 
   // Stage A -> B hand-off. The queue is shared_ptr-held because the
   // callbacks run on pool threads; the handle's join() below ensures
@@ -265,9 +267,9 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
   FAULT_POINT("sink.merge");
 
   // Assembly, strictly in input order: case order, event order and
-  // warning order come out byte-identical to the staged path, and
-  // every sink's partials merge in the same order. Arenas and buffers
-  // are adopted before the log escapes (lifetime contract). Skipped
+  // warning order come out byte-identical to a serial per-file build,
+  // and every sink's partials merge in the same order. Arenas and
+  // buffers are adopted before the log escapes (lifetime contract). Skipped
   // and quarantined files contribute their structured warning at their
   // input-order slot and nothing else.
   model::EventLog log;
@@ -366,26 +368,6 @@ void CaseStatsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
 
 void CaseStatsSink::merge(std::unique_ptr<SinkPartial> p) {
   acc_.merge(std::move(static_cast<CaseStatsPartial&>(*p).acc));
-}
-
-// ---- ActivityLogSink ---------------------------------------------------
-
-namespace {
-struct ActivityLogPartial final : SinkPartial {
-  model::ActivityLog log;
-};
-}  // namespace
-
-std::unique_ptr<SinkPartial> ActivityLogSink::make_partial() const {
-  return std::make_unique<ActivityLogPartial>();
-}
-
-void ActivityLogSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  static_cast<ActivityLogPartial&>(p).log.add_case(ctx.mapped(*f_));
-}
-
-void ActivityLogSink::merge(std::unique_ptr<SinkPartial> p) {
-  log_.merge(std::move(static_cast<ActivityLogPartial&>(*p).log));
 }
 
 // ---- VariantsSink ------------------------------------------------------

@@ -1,11 +1,30 @@
-// CaseSink: the composable consumer side of the streaming pipeline —
-// the abstraction that turns the PR 4 trace -> EventLog -> DFG chain
-// into the repo's analytics substrate. One streamed pass over the
-// trace bytes can now feed ANY set of analytics, instead of the DFG
-// alone: the graph build, per-case summaries, trace variants, a full
-// activity log and query pre-filtering all ride the same conversion
-// tasks on the same ThreadPool, where previously each of them was a
-// separate barrier-delimited walk over a fully materialized EventLog.
+// The streaming pipeline: parse, record->Case conversion and every
+// analytic overlap on ONE ThreadPool instead of meeting at barriers
+// (the scalable Sec. V construction of the paper, refs [24][25] in
+// dfg/builder.hpp, taken end to end). pipeline::run is the one way
+// trace files are ingested, and CaseSink is its consumer side: one
+// streamed pass over the trace bytes feeds any set of analytics — the
+// graph build, per-case summaries, trace variants, activity and edge
+// statistics, query pre-filtering and the elog v2 writer all ride the
+// same conversion tasks on the same pool.
+//
+//   files ──(buffer,chunk) parse tasks──► per-file fold ──StageQueue──►
+//     convert tasks (case_from_records + every sink's fold) ──►
+//     input-order assembly + input-order sink merges
+//
+//   - stage A: strace::read_trace_buffers_streamed enqueues every
+//     (file, chunk) parse task; the pool thread that finishes a file's
+//     last chunk folds it and pushes the ReadResult onto a bounded
+//     StageQueue (backpressure: parsing stalls rather than piling up
+//     unconverted files without limit; capacity via
+//     StreamOptions::queue_capacity).
+//   - stage B: the calling thread pops completions and immediately
+//     submits the file's record->Case conversion, and every sink's
+//     fold of the resulting case, to the SAME pool, so conversion of
+//     early files runs while later files still parse.
+//   - assembly: once the queue closes, cases and warnings are
+//     assembled strictly in input order and every sink merges its
+//     per-task partials in that order.
 //
 // A sink is monoid-shaped, mirroring the Dfg merge the DFG build has
 // always used (refs [24][25] of the paper):
@@ -13,12 +32,11 @@
 //   make_partial()      a fresh accumulator, created per conversion
 //                       task on the pool thread running it;
 //   fold(partial, ctx)  folds one completed Case into that partial,
-//                       right where trace_to_dfg used to fold its
-//                       per-task Dfg — on the pool thread, overlapped
-//                       with parsing of later files. `const`: sinks
-//                       keep all mutable state in the partial, so
-//                       concurrent folds into distinct partials are
-//                       safe by construction;
+//                       inside the case's conversion task — on the
+//                       pool thread, overlapped with parsing of later
+//                       files. `const`: sinks keep all mutable state
+//                       in the partial, so concurrent folds into
+//                       distinct partials are safe by construction;
 //   merge(partial)      input-order fold of the partials into the
 //                       sink's output, at assembly on the calling
 //                       thread — the same place (and order) the
@@ -30,13 +48,16 @@
 // so the DFG, variants, I/O- and edge-statistics sinks of a streamed
 // report (or a fold-shard child) map each event once between them.
 //
-// Determinism contract (same as the PR 4 pipeline, asserted by
-// tests/test_pipeline_sinks.cpp): every sink's output is byte-identical
-// to its staged counterpart at any worker count and any queue
-// capacity, merge() runs strictly in input order, errors propagate
-// with lowest-input-index-wins (a sink fold that throws competes with
-// parse errors on input index), and NO merge() runs on a failing run —
-// a sink is either fully folded or still empty, never half-merged.
+// Determinism contract (asserted by tests/test_pipeline_stream.cpp and
+// tests/test_pipeline_sinks.cpp): the returned log equals a per-file
+// read_trace_file + case_from_records build byte for byte (case order,
+// event order, warning strings and their order), every sink's output
+// is byte-identical to its serial counterpart on that log, at any
+// worker count and any queue capacity; merge() runs strictly in input
+// order, errors propagate with lowest-input-index-wins (a sink fold
+// that throws competes with parse errors on input index; every task is
+// awaited first), and NO merge() runs on a failing run — a sink is
+// either fully folded or still empty, never half-merged.
 // Lifetime: the per-task arena and TraceBuffer of a case reach fold()
 // through the context, so sinks whose output escapes the run
 // (QuerySink's filtered log) can adopt them; the run adopts them into
@@ -91,7 +112,9 @@ namespace st::pipeline {
 /// ..." before conversion, "<path>: case quarantined: ..." after) and
 /// the run completes over the surviving inputs; LogicError and
 /// foreign exceptions still abort either way.
-struct StreamOptions : strace::ParallelReadOptions, RunPolicy {
+struct StreamOptions : strace::ReadOptions, RunPolicy {
+  /// Lower bound per parse chunk (strace::ParallelReadOptions).
+  std::size_t min_chunk_bytes = 1 << 20;
   /// Capacity of the completion queue between the parse and convert
   /// stages; 0 = 2x the pool size. Smaller values bound memory on huge
   /// batches (parse stalls until conversion catches up — capacity 1 is
@@ -181,18 +204,18 @@ class CaseSink {
 };
 
 /// Drives one streamed parse -> convert pass over `paths` and folds
-/// every completed Case into every sink, all on `pool` (the PR 4
-/// overlap: conversion and sink folds of early files run while later
-/// files still parse). Returns the assembled EventLog — byte-identical
-/// to the staged per-file build (case, event and warning order), with
+/// every completed Case into every sink, all on `pool` (conversion and
+/// sink folds of early files run while later files still parse).
+/// Returns the assembled EventLog — byte-identical to the serial
+/// per-file build (case, event and warning order), with
 /// per-task arenas and TraceBuffers adopted before it escapes. File
 /// names must follow cid_host_rid.st (ParseError for the first
 /// offender, checked before any I/O); on any failure every task is
 /// awaited, the lowest-input-index error is rethrown and no sink sees
 /// a merge. Under opts.keep_going data failures quarantine their file
 /// instead (see StreamOptions). `health`, when non-null, receives the
-/// run's DataHealth either way. `opts.pool` is ignored — `pool` is
-/// used.
+/// run's DataHealth either way. With no sinks it is plain event-log
+/// construction: run(paths, pool, {}).
 [[nodiscard]] model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
                                   std::span<CaseSink* const> sinks,
                                   const StreamOptions& opts = {}, DataHealth* health = nullptr);
@@ -205,9 +228,8 @@ class CaseSink {
 // ---- the analytics, re-expressed as sinks ------------------------------
 
 /// Per-case DFG construction (dfg::add_case_trace folded through the
-/// Dfg monoid). trace_to_dfg is a thin wrapper over run() with this
-/// sink; the result equals dfg::build_serial on the returned log. `f`
-/// must outlive the run.
+/// Dfg monoid); the result equals dfg::build_serial on the returned
+/// log. `f` must outlive the run.
 class DfgSink final : public CaseSink {
  public:
   explicit DfgSink(const model::Mapping& f) : f_(&f) {}
@@ -243,27 +265,9 @@ class CaseStatsSink final : public CaseSink {
   model::CaseSummaries acc_;
 };
 
-/// Full activity log L_f(C) — identical to ActivityLog::build on the
-/// returned log. `f` must outlive the run.
-class ActivityLogSink final : public CaseSink {
- public:
-  explicit ActivityLogSink(const model::Mapping& f) : f_(&f) {}
-
-  [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
-  void fold(SinkPartial& p, const CaseContext& ctx) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
-
-  [[nodiscard]] const model::ActivityLog& log() const { return log_; }
-  [[nodiscard]] model::ActivityLog take_log() { return std::move(log_); }
-
- private:
-  const model::Mapping* f_;
-  model::ActivityLog log_;
-};
-
-/// Just the variant multiset — byte-identical to
+/// The variant multiset — byte-identical to
 /// ActivityLog::build(log, f).variants(), without carrying per-case
-/// traces when only the multiplicities matter. `f` must outlive the run.
+/// traces. `f` must outlive the run.
 class VariantsSink final : public CaseSink {
  public:
   explicit VariantsSink(const model::Mapping& f) : f_(&f) {}

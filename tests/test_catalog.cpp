@@ -14,7 +14,11 @@
 //     graceful error replies, shutdown;
 //   - the served report equals build_report byte for byte under last2,
 //     with the indexed query planner on and off;
-//   - the TCP server outlives a client that resets mid-reply.
+//   - the TCP server outlives a client that resets mid-reply;
+//   - hostile request lines (seeded bit flips, insertions, deletions
+//     and truncations of ndjson requests and of HTTP GET lines fed
+//     through request_from_http) always get an ok or a typed error
+//     reply, and nothing throws.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -35,9 +39,10 @@
 #include "elog/v2_store.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "report/report.hpp"
 #include "testing_corpus.hpp"
+#include "testing_util.hpp"
 
 namespace st::corpus {
 namespace {
@@ -68,7 +73,7 @@ class CatalogTest : public st::testing::CorpusTest {
 TEST_F(CatalogTest, LoadMatchesTheOfflinePipeline) {
   auto catalog = make_catalog();
   ThreadPool pool(2);
-  const auto offline = pipeline::event_log_streamed(corpus_, pool);
+  const auto offline = pipeline::run(corpus_, pool, {});
   st::testing::expect_same_log(*catalog.base(), offline);
   // warnings live on load_warnings(), the base log itself keeps them too
   EXPECT_EQ(catalog.load_warnings(), offline.warnings());
@@ -160,7 +165,7 @@ TEST_F(CatalogTest, ServedReportEqualsBuildReportUnderLast2WithIndexOnAndOff) {
   // from the index planner when it is on and from Query::apply when off.
   ThreadPool pool(2);
   const std::string container = (dir_ / "corpus.elog").string();
-  elog::write_event_log_v2_file(container, pipeline::event_log_streamed(corpus_, pool));
+  elog::write_event_log_v2_file(container, pipeline::run(corpus_, pool, {}));
   // A clean read hands the Catalog the mapped file, i.e. an indexed segment.
   ASSERT_NE(elog::read_event_log_file_indexed(container).mapped, nullptr);
   const std::vector<Query> queries = {
@@ -302,6 +307,71 @@ TEST_F(CatalogTest, HandleRequestRepliesGracefullyToBadInput) {
 
   // A failed request must not kill subsequent ones.
   EXPECT_TRUE(handle_request(catalog, "ping").ok);
+}
+
+TEST_F(CatalogTest, RequestFromHttpMapsGetLinesToRequests) {
+  EXPECT_EQ(request_from_http("GET /report?q=fp~%2Fp%2Fscratch HTTP/1.0"), "report fp~/p/scratch");
+  EXPECT_EQ(request_from_http("GET /diff?x=1&q=calls%7Bread%7D+::+all HTTP/1.1"),
+            "diff calls{read} :: all");
+  EXPECT_EQ(request_from_http("GET / HTTP/1.0"), "stat");
+  EXPECT_EQ(request_from_http("GET /ping"), "ping");
+  EXPECT_EQ(request_from_http(""), "stat");  // total: no "GET " prefix needed
+}
+
+TEST_F(CatalogTest, MutatedRequestsGetOkOrTypedErrorReplies) {
+  auto catalog = make_catalog(/*capacity=*/16);
+  const std::vector<std::string> requests = {
+      "ping",
+      "describe fp~/p/scratch calls{read,write} t[10,200)",
+      "query calls{read} hosts{nodeA}",
+      "report fp~/p/scratch",
+      "diff calls{read} :: cids{\"s1\",big}",
+      "stat",
+      "stat fp~\"/p/data\"",
+  };
+  const std::vector<std::string> get_lines = {
+      "GET /report?q=fp~%2Fp%2Fscratch HTTP/1.0",
+      "GET /query?q=calls%7Bread%2Cwrite%7D+t%5B10%2C200%29 HTTP/1.1",
+      "GET /diff?q=calls%7Bread%7D+::+all HTTP/1.0",
+      "GET /describe?x=1&q=hosts%7BnodeA%7D HTTP/1.0",
+      "GET /stat HTTP/1.0",
+  };
+  std::size_t oks = 0;
+  std::size_t errors = 0;
+  const auto expect_ok_or_typed = [&](const std::string& line) {
+    Response r;
+    ASSERT_NO_THROW(r = handle_request(catalog, line)) << "[" << line << "]";
+    ++(r.ok ? oks : errors);
+    if (r.ok) {
+      EXPECT_TRUE(r.header.starts_with("{\"ok\":true,")) << r.header;
+      EXPECT_NE(r.header.find("\"bytes\":" + std::to_string(r.payload.size()) + "}"),
+                std::string::npos)
+          << r.header;
+    } else {
+      EXPECT_TRUE(r.header.starts_with("{\"ok\":false,\"error\":\"")) << r.header;
+      // Request-shaped problems are typed errors; "internal error" is
+      // the reply for an exception outside the st::Error hierarchy.
+      EXPECT_EQ(r.header.find("internal error"), std::string::npos) << "[" << line << "]";
+      EXPECT_TRUE(r.payload.empty()) << r.header;
+    }
+  };
+  Xoshiro256 rng(20261018);
+  for (const auto& request : requests) {
+    for (int i = 0; i < 60; ++i) expect_ok_or_typed(testing::mutate_bytes(request, rng));
+  }
+  for (const auto& get : get_lines) {
+    for (int i = 0; i < 60; ++i) {
+      const std::string mutated = testing::mutate_bytes(get, rng);
+      std::string line;
+      ASSERT_NO_THROW(line = request_from_http(mutated)) << "[" << mutated << "]";
+      expect_ok_or_typed(line);
+    }
+  }
+  EXPECT_GT(oks, 0u);  // both outcomes exercised: the sweep is not vacuous
+  EXPECT_GT(errors, 0u);
+  // The sweep left the catalog serving.
+  EXPECT_TRUE(handle_request(catalog, "ping").ok);
+  EXPECT_TRUE(handle_request(catalog, "report fp~/p/scratch").ok);
 }
 
 TEST_F(CatalogTest, ServeLinesSpeaksTheFramedProtocol) {

@@ -16,7 +16,6 @@
 #include "elog/v2_store.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
-#include "pipeline/stream.hpp"
 #include "strace/trace_buffer.hpp"
 #include "support/crc32.hpp"
 #include "support/errors.hpp"
@@ -349,7 +348,7 @@ class ElogV2Import : public ::testing::Test {
 TEST_F(ElogV2Import, SinkWriteIsByteIdenticalToStagedWriteAtAnyWorkerCount) {
   // The reference: a staged write of the (deterministic) streamed log.
   ThreadPool ref_pool(1);
-  const auto ref_log = pipeline::event_log_streamed(paths_, ref_pool);
+  const auto ref_log = pipeline::run(paths_, ref_pool, {});
   const std::string staged = v2_bytes(ref_log);
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
@@ -376,7 +375,7 @@ TEST_F(ElogV2Import, SinkWriteIsByteIdenticalToStagedWriteAtAnyWorkerCount) {
 
 TEST_F(ElogV2Import, ImportedV1AndV2AgreeWithEachOtherAndTheTraces) {
   ThreadPool pool(3);
-  const auto from_traces = pipeline::event_log_streamed(paths_, pool);
+  const auto from_traces = pipeline::run(paths_, pool, {});
   // v1 route
   std::stringstream v1;
   write_event_log(v1, from_traces);

@@ -26,7 +26,6 @@
 #include "parallel/thread_pool.hpp"
 #include "pipeline/shard.hpp"
 #include "pipeline/sink.hpp"
-#include "pipeline/stream.hpp"
 #include "report/report.hpp"
 #include "strace/trace_buffer.hpp"
 #include "support/errors.hpp"
@@ -154,15 +153,15 @@ class Faults : public testing::CorpusTest {
 TEST_F(Faults, ErrorAtEveryPipelineSiteIsATypedIoErrorStrict) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
-  const model::EventLog reference = pipeline::event_log_streamed(paths, pool);
+  const model::EventLog reference = pipeline::run(paths, pool, {});
   for (const char* site : kPipelineSites) {
     {
       const ScopedFault f(site, spec(Kind::kError));
-      EXPECT_THROW((void)pipeline::event_log_streamed(paths, pool), IoError) << site;
+      EXPECT_THROW((void)pipeline::run(paths, pool, {}), IoError) << site;
     }
     // The failed run left nothing behind: a clean rerun on the same
     // pool is byte-identical.
-    expect_same_log(reference, pipeline::event_log_streamed(paths, pool));
+    expect_same_log(reference, pipeline::run(paths, pool, {}));
   }
 }
 
@@ -183,10 +182,10 @@ TEST_F(Faults, FailingRunNeverHalfMergesASink) {
 TEST_F(Faults, HangAtEveryPipelineSiteOnlyDelaysTheRun) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
-  const model::EventLog reference = pipeline::event_log_streamed(paths, pool);
+  const model::EventLog reference = pipeline::run(paths, pool, {});
   for (const char* site : kPipelineSites) {
     const ScopedFault f(site, spec(Kind::kHang, 1, 30));
-    expect_same_log(reference, pipeline::event_log_streamed(paths, pool));
+    expect_same_log(reference, pipeline::run(paths, pool, {}));
   }
 }
 
@@ -248,7 +247,7 @@ TEST_F(Faults, KeepGoingSkipsAMissingFileWithAPinnedWarning) {
   paths.insert(paths.begin() + 1, missing);
   ThreadPool pool(2);
 
-  EXPECT_THROW((void)pipeline::event_log_streamed(paths, pool), IoError);  // strict
+  EXPECT_THROW((void)pipeline::run(paths, pool, {}), IoError);  // strict
 
   pipeline::StreamOptions opts;
   opts.keep_going = true;
@@ -303,14 +302,14 @@ TEST_F(Faults, ZeroByteTraceIsAnEmptyCaseInBothModes) {
             strace::TraceBuffer::from_file_mmap(paths[0])->text());
 
   ThreadPool pool(2);
-  const auto strict = pipeline::event_log_streamed(paths, pool);
+  const auto strict = pipeline::run(paths, pool, {});
   EXPECT_EQ(strict.case_count(), 1u);
   EXPECT_EQ(strict.total_events(), 0u);
   EXPECT_TRUE(strict.warnings().empty());
 
   pipeline::StreamOptions opts;
   opts.keep_going = true;
-  expect_same_log(strict, pipeline::event_log_streamed(paths, pool, opts));
+  expect_same_log(strict, pipeline::run(paths, pool, {}, opts));
 
   pipeline::ShardOptions sopts;
   sopts.shards = 2;
@@ -333,7 +332,7 @@ TEST_F(Faults, TruncatedFinalLineWarnsIdenticallyInBothModes) {
             strace::TraceBuffer::from_file_mmap(paths[0])->text());
 
   ThreadPool pool(2);
-  const auto strict = pipeline::event_log_streamed(paths, pool);
+  const auto strict = pipeline::run(paths, pool, {});
   ASSERT_FALSE(strict.warnings().empty());
   // The fragment is line 11; "never resumed" warnings sort after line
   // warnings, so search rather than assume it's last.
@@ -348,7 +347,7 @@ TEST_F(Faults, TruncatedFinalLineWarnsIdenticallyInBothModes) {
 
   pipeline::StreamOptions opts;
   opts.keep_going = true;
-  expect_same_log(strict, pipeline::event_log_streamed(paths, pool, opts));
+  expect_same_log(strict, pipeline::run(paths, pool, {}, opts));
 
   pipeline::ShardOptions sopts;
   sopts.shards = 2;
@@ -360,7 +359,7 @@ TEST_F(Faults, TruncatedFinalLineWarnsIdenticallyInBothModes) {
 TEST_F(Faults, ElogCrcFaultQuarantinesOneCaseUnderKeepGoing) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
-  const auto log = pipeline::event_log_streamed(paths, pool);
+  const auto log = pipeline::run(paths, pool, {});
   const std::string elog_path = (dir_ / "corpus.elog").string();
   elog::write_event_log_v2_file(elog_path, log);
 
@@ -387,7 +386,7 @@ TEST_F(Faults, ElogOpenFaultIsStructuralEvenUnderKeepGoing) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
   const std::string elog_path = (dir_ / "corpus.elog").string();
-  elog::write_event_log_v2_file(elog_path, pipeline::event_log_streamed(paths, pool));
+  elog::write_event_log_v2_file(elog_path, pipeline::run(paths, pool, {}));
   const ScopedFault f("elog.open", spec(Kind::kError));
   EXPECT_THROW((void)elog::read_event_log_file(elog_path, elog::ElogReadOptions{true}), IoError);
 }
@@ -400,7 +399,7 @@ TEST_F(Faults, ElogIndexFaultFailsIndexedQueriesButNotPlainReads) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
   const std::string elog_path = (dir_ / "corpus.elog").string();
-  elog::write_event_log_v2_file(elog_path, pipeline::event_log_streamed(paths, pool));
+  elog::write_event_log_v2_file(elog_path, pipeline::run(paths, pool, {}));
   const auto mapped = elog::open_v2(elog_path);
   const auto base = elog::read_event_log_v2(mapped);
   const auto q = model::Query::parse("calls{read}");

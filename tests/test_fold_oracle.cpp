@@ -198,12 +198,11 @@ TEST(FoldOracle, SinksSharingOneMemoizedWalkMatchTheReference) {
   for (const auto& [name, f] : mappings()) {
     SCOPED_TRACE(name);
     pipeline::DfgSink graph_sink(f);
-    pipeline::ActivityLogSink activity_sink(f);
     pipeline::VariantsSink variants_sink(f);
     pipeline::IoStatsSink io_sink(f);
     pipeline::EdgeStatsSink edge_sink(f);
-    const std::vector<pipeline::CaseSink*> sinks = {&graph_sink, &activity_sink, &variants_sink,
-                                                    &io_sink, &edge_sink};
+    const std::vector<pipeline::CaseSink*> sinks = {&graph_sink, &variants_sink, &io_sink,
+                                                    &edge_sink};
     const std::shared_ptr<strace::StringArena> no_arena;
     const std::shared_ptr<strace::TraceBuffer> no_buffer;
     for (const model::Case& c : log.cases()) {
@@ -220,7 +219,6 @@ TEST(FoldOracle, SinksSharingOneMemoizedWalkMatchTheReference) {
     }
     EXPECT_EQ(graph_sink.graph(), reference::build_reference(log, f));
     EXPECT_EQ(variants_sink.variants(), reference::variants_reference(log, f));
-    EXPECT_EQ(activity_sink.log().variants(), reference::variants_reference(log, f));
     const auto io_ref = reference::io_partial_reference(log, f);
     expect_same_partial(io_ref, io_sink.partial());
     expect_same_stats(io_ref.finalize(), io_sink.finalize());

@@ -1,7 +1,7 @@
 // End-to-end coverage for the mmap + arena + mixed-parallel ingestion
 // architecture:
 //   - from_file_mmap and from_file produce byte-identical ReadResults,
-//   - read_trace_buffers_parallel (one work queue of (file, chunk)
+//   - read_trace_files_streamed (one work queue of (file, chunk)
 //     tasks) matches the sequential reader file by file,
 //   - event_log_from_files: EventLog owns the storage its events view
 //     into (valid after every intermediate is gone, including through
@@ -19,6 +19,7 @@
 
 #include "iosim/ior.hpp"
 #include "model/from_strace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
@@ -140,11 +141,14 @@ TEST_F(MixedParallel, OneBigPlusManySmallMatchesSequential) {
                                           static_cast<std::uint64_t>(100 + i))));
   }
 
+  ThreadPool pool(3);  // declared before the handle: outlives it
   strace::ParallelReadOptions opts;
-  opts.threads = 3;
+  opts.pool = &pool;
   opts.min_chunk_bytes = 256;  // force many chunks per file
-  const auto mixed = strace::read_trace_files_mixed(paths, opts);
-  ASSERT_EQ(mixed.size(), paths.size());
+  std::vector<strace::ReadResult> mixed(paths.size());
+  auto handle = strace::read_trace_files_streamed(
+      paths, opts, [&mixed](std::size_t i, strace::ReadResult&& r) { mixed[i] = std::move(r); });
+  handle.wait();
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const auto seq = strace::read_trace_file(paths[i]);
     expect_same_result(seq, mixed[i]);

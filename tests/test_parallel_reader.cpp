@@ -1,20 +1,23 @@
 // Parallel-vs-sequential ingestion equivalence and the TraceBuffer
 // lifetime contract.
 //
-// read_trace_parallel promises byte-identical output to the sequential
-// reader: same records in the same order, same warning strings, same
-// strict-mode exception. The corpus generator below is adversarial on
-// purpose — multi-PID interleaved unfinished/resumed pairs (often
-// spanning chunk boundaries), overwritten unfinished records, resumed
-// records with no match, call-name mismatches, signals, exits,
-// ERESTARTSYS, malformed and blank lines — and the parallel reader is
-// forced into many small chunks so every fold path is exercised.
+// read_trace_buffers_streamed promises, per buffer, byte-identical
+// output to the sequential reader: same records in the same order, same
+// warning strings, same strict-mode exception. The corpus generator
+// below is adversarial on purpose — multi-PID interleaved
+// unfinished/resumed pairs (often spanning chunk boundaries),
+// overwritten unfinished records, resumed records with no match,
+// call-name mismatches, signals, exits, ERESTARTSYS, malformed and
+// blank lines — and the streamed reader is forced into many small
+// chunks of one buffer so every fold path is exercised.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
@@ -113,12 +116,32 @@ void expect_same_records(const ReadResult& seq, const ReadResult& par) {
   }
 }
 
-ParallelReadOptions tiny_chunks(const ReadOptions& base) {
+/// One buffer through the streamed reader on a pool of `workers`
+/// (>= 2: chunk_target gives a 1-worker pool a single chunk); wait()
+/// rethrows a strict-mode error like the sequential reader throws it.
+ReadResult read_streamed(std::shared_ptr<TraceBuffer> buffer, const ReadOptions& base,
+                         std::size_t min_chunk_bytes, std::size_t workers = 3) {
+  ThreadPool pool(workers);  // declared before the handle: outlives it
   ParallelReadOptions opts;
   static_cast<ReadOptions&>(opts) = base;
-  opts.threads = 3;
-  opts.min_chunk_bytes = 256;  // force many chunks and many folds
-  return opts;
+  opts.pool = &pool;
+  opts.min_chunk_bytes = min_chunk_bytes;
+  ReadResult out;
+  auto handle = read_trace_buffers_streamed(
+      {std::move(buffer)}, opts, [&out](std::size_t, ReadResult&& r) { out = std::move(r); });
+  handle.wait();
+  return out;
+}
+
+ReadResult read_streamed(std::string_view text, const ReadOptions& base,
+                         std::size_t min_chunk_bytes, std::size_t workers = 3) {
+  return read_streamed(std::make_shared<TraceBuffer>(std::string(text)), base, min_chunk_bytes,
+                       workers);
+}
+
+/// Many chunks and many folds.
+ReadResult read_tiny_chunks(std::string_view text, const ReadOptions& base) {
+  return read_streamed(text, base, 256);
 }
 
 TEST(ParallelReader, EquivalentOnAdversarialCorpus) {
@@ -126,7 +149,7 @@ TEST(ParallelReader, EquivalentOnAdversarialCorpus) {
     const std::string text = make_corpus(seed, 600);
     const ReadOptions opts;  // defaults: drop signals/exits/restarts, strict=false
     const auto seq = read_trace_text(text, opts);
-    const auto par = read_trace_text_parallel(text, tiny_chunks(opts));
+    const auto par = read_tiny_chunks(text, opts);
     expect_same_records(seq, par);
     EXPECT_EQ(seq.warnings, par.warnings) << "seed " << seed;
   }
@@ -139,7 +162,7 @@ TEST(ParallelReader, EquivalentWithFiltersDisabled) {
   opts.drop_exits = false;
   const std::string text = make_corpus(99, 600);
   const auto seq = read_trace_text(text, opts);
-  const auto par = read_trace_text_parallel(text, tiny_chunks(opts));
+  const auto par = read_tiny_chunks(text, opts);
   expect_same_records(seq, par);
   EXPECT_EQ(seq.warnings, par.warnings);
 }
@@ -152,10 +175,7 @@ TEST(ParallelReader, EquivalentOnCleanSingleChunkAndManyChunks) {
   }
   const auto seq = read_trace_text(text);
   for (const std::size_t chunk_bytes : {std::size_t{1} << 20, std::size_t{128}}) {
-    ParallelReadOptions opts;
-    opts.threads = 2;
-    opts.min_chunk_bytes = chunk_bytes;
-    const auto par = read_trace_text_parallel(text, opts);
+    const auto par = read_streamed(text, {}, chunk_bytes, 2);
     expect_same_records(seq, par);
     EXPECT_TRUE(par.warnings.empty());
   }
@@ -174,7 +194,7 @@ TEST(ParallelReader, CrossChunkResumePairsMerge) {
   text += "1  " + ts(t += 10) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
   text += "2  " + ts(t += 10) + " <... write resumed> ) = 8192 <0.000100>\n";
   const auto seq = read_trace_text(text);
-  const auto par = read_trace_text_parallel(text, tiny_chunks({}));
+  const auto par = read_tiny_chunks(text, {});
   EXPECT_TRUE(seq.warnings.empty());
   expect_same_records(seq, par);
   EXPECT_EQ(seq.warnings, par.warnings);
@@ -207,12 +227,19 @@ TEST(ParallelReader, StrictModeThrowsSameErrorAsSequential) {
     seq_what = e.what();
   }
   try {
-    (void)read_trace_text_parallel(text, tiny_chunks(opts));
+    (void)read_tiny_chunks(text, opts);
   } catch (const ParseError& e) {
     par_what = e.what();
   }
   ASSERT_FALSE(seq_what.empty());
   EXPECT_EQ(seq_what, par_what);
+}
+
+TEST(ParallelReader, NullPoolIsALogicError) {
+  ParallelReadOptions opts;  // no pool
+  EXPECT_THROW((void)read_trace_buffers_streamed({std::make_shared<TraceBuffer>("x\n")}, opts,
+                                                 [](std::size_t, ReadResult&&) {}),
+               LogicError);
 }
 
 TEST(TraceBufferLifetime, RecordsOutliveTheSourceString) {
@@ -262,7 +289,7 @@ TEST(TraceBufferLifetime, SharedBufferServesManyReads) {
   }
   auto buffer = std::make_shared<TraceBuffer>(text);
   const auto a = read_trace_buffer(buffer);
-  const auto b = read_trace_parallel(buffer, tiny_chunks({}));
+  const auto b = read_streamed(buffer, {}, 256);
   expect_same_records(a, b);
   // Both results share the same byte storage: zero-copy means the
   // sequential records literally point into the buffer's text.

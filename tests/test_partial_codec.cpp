@@ -7,7 +7,8 @@
 //     as IoError — never silently wrong analytics,
 //   - hand-crafted valid-CRC-but-bad-content sections still fail
 //     loudly (pool ids out of range, booleans out of range, element
-//     counts exceeding the payload).
+//     counts exceeding the payload), and the retired section kind 5
+//     is rejected like any unknown kind.
 #include "pipeline/partial_codec.hpp"
 
 #include <gtest/gtest.h>
@@ -69,8 +70,7 @@ ShardPartial sample_partial(const model::EventLog& log, bool with_query,
   p.warnings = std::move(warnings);
   p.graph = dfg::build_serial(log, f);
   p.case_summaries = model::summarize_cases(log);
-  p.activity_log = model::ActivityLog::build(log, f);
-  p.variants = p.activity_log.variants();
+  p.variants = model::ActivityLog::build(log, f).variants();
   for (const auto& c : log.cases()) {
     const model::MappedCase walk(c, f);
     p.io.add_case(walk);
@@ -80,21 +80,12 @@ ShardPartial sample_partial(const model::EventLog& log, bool with_query,
   return p;
 }
 
-void expect_same_activity_log(const model::ActivityLog& a, const model::ActivityLog& b) {
-  EXPECT_EQ(a.variants(), b.variants());
-  EXPECT_EQ(a.per_case(), b.per_case());
-  EXPECT_EQ(a.activities(), b.activities());
-  EXPECT_EQ(a.case_count(), b.case_count());
-  EXPECT_EQ(a.total_activity_instances(), b.total_activity_instances());
-}
-
 void expect_same_shard_partial(const ShardPartial& a, const ShardPartial& b) {
   EXPECT_EQ(a.case_count, b.case_count);
   EXPECT_EQ(a.total_events, b.total_events);
   EXPECT_EQ(a.warnings, b.warnings);
   EXPECT_EQ(a.graph, b.graph);
   EXPECT_EQ(a.case_summaries, b.case_summaries);
-  expect_same_activity_log(a.activity_log, b.activity_log);
   EXPECT_EQ(a.variants, b.variants);
   EXPECT_EQ(a.io, b.io);
   EXPECT_EQ(a.edges, b.edges);
@@ -109,7 +100,7 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   const auto f = model::Mapping::call_top_dirs(2);
   const auto graph = dfg::build_serial(log, f);
   const auto summaries = model::summarize_cases(log);
-  const auto activity_log = model::ActivityLog::build(log, f);
+  const auto variants = model::ActivityLog::build(log, f).variants();
   const auto filtered = model::Query().calls({"read"}).apply(log);
   dfg::IoStatistics::Partial io;
   dfg::EdgeStatistics::Partial edges;
@@ -124,8 +115,7 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   PartialWriter w;
   pipeline::encode_dfg_partial(w, graph);
   pipeline::encode_case_stats_partial(w, summaries);
-  pipeline::encode_activity_log_partial(w, activity_log);
-  pipeline::encode_variants_partial(w, activity_log.variants());
+  pipeline::encode_variants_partial(w, variants);
   pipeline::encode_query_log_partial(w, filtered);
   pipeline::encode_io_stats_partial(w, io);
   pipeline::encode_edge_stats_partial(w, edges);
@@ -134,8 +124,7 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   const PartialReader r(blob);
   EXPECT_EQ(pipeline::decode_dfg_partial(r), graph);
   EXPECT_EQ(pipeline::decode_case_stats_partial(r), summaries);
-  expect_same_activity_log(pipeline::decode_activity_log_partial(r), activity_log);
-  EXPECT_EQ(pipeline::decode_variants_partial(r), activity_log.variants());
+  EXPECT_EQ(pipeline::decode_variants_partial(r), variants);
   expect_same_log(pipeline::decode_query_log_partial(r), filtered);
   EXPECT_EQ(pipeline::decode_io_stats_partial(r), io);
   EXPECT_EQ(pipeline::decode_edge_stats_partial(r), edges);
@@ -223,6 +212,33 @@ TEST(PartialCodec, MissingRequiredSectionIsIoError) {
   meta.push_back('\0');  // no warnings
   w.add_section(PartialSection::kMeta, std::move(meta));
   EXPECT_THROW((void)pipeline::decode_shard_partial(w.finish()), IoError);
+}
+
+TEST(PartialCodec, RetiredSectionKindFiveIsIoError) {
+  // A blob in the shape older writers emitted — every section of a
+  // shard partial plus a kind-5 section with a valid checksum — must
+  // fail as an unknown section kind, never decode. Without the kind-5
+  // section the same blob decodes.
+  const ShardPartial p = sample_partial(sample_log(), false, {"a.st: warn"});
+  const auto build = [&p](bool with_retired) {
+    PartialWriter w;
+    w.add_section(PartialSection::kMeta, std::string(7, '\0'));  // seven zero counters
+    pipeline::encode_dfg_partial(w, p.graph);
+    pipeline::encode_case_stats_partial(w, p.case_summaries);
+    if (with_retired) w.add_section(static_cast<PartialSection>(5), std::string(1, '\0'));
+    pipeline::encode_variants_partial(w, p.variants);
+    pipeline::encode_io_stats_partial(w, p.io);
+    pipeline::encode_edge_stats_partial(w, p.edges);
+    return w.finish();
+  };
+  EXPECT_EQ(pipeline::decode_shard_partial(build(false)).variants, p.variants);
+  const std::string blob = build(true);
+  try {
+    (void)pipeline::decode_shard_partial(blob);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown section kind"), std::string::npos) << e.what();
+  }
 }
 
 TEST(PartialCodec, ValidCrcBadContentStillFailsLoudly) {

@@ -2,9 +2,9 @@
 //   - every sink's output is byte-identical to its staged counterpart
 //     at 1, 2 and 4 workers: the DFG (build_serial),
 //     case summaries (summarize_cases, serial and pooled), the
-//     activity log (ActivityLog::build), the variant multiset
-//     (ActivityLog::build().variants()) and the query-filtered log
-//     (Query::apply) — all produced by ONE streamed pass,
+//     variant multiset (ActivityLog::build().variants()) and the
+//     query-filtered log (Query::apply) — all produced by ONE streamed
+//     pass,
 //   - queue capacity 1 (maximal backpressure) is still byte-identical,
 //   - QuerySink's filtered log owns its views independently of the
 //     primary log (correct owner adoption),
@@ -31,7 +31,6 @@
 #include "model/from_strace.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
 #include "strace/reader.hpp"
 #include "support/errors.hpp"
 #include "support/timeparse.hpp"
@@ -163,14 +162,6 @@ void expect_same_log(const model::EventLog& a, const model::EventLog& b) {
   EXPECT_EQ(a.warnings(), b.warnings());
 }
 
-void expect_same_activity_log(const model::ActivityLog& a, const model::ActivityLog& b) {
-  EXPECT_EQ(a.variants(), b.variants());
-  EXPECT_EQ(a.per_case(), b.per_case());
-  EXPECT_EQ(a.activities(), b.activities());
-  EXPECT_EQ(a.case_count(), b.case_count());
-  EXPECT_EQ(a.total_activity_instances(), b.total_activity_instances());
-}
-
 model::Query test_query() {
   return model::Query()
       .calls({"read", "write"})
@@ -199,19 +190,16 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
 
     pipeline::DfgSink graph_sink(f);
     pipeline::CaseStatsSink stats_sink;
-    pipeline::ActivityLogSink activity_sink(f);
     pipeline::VariantsSink variants_sink(f);
     pipeline::QuerySink query_sink(q);
-    const auto log = pipeline::run(
-        paths, pool,
-        {&graph_sink, &stats_sink, &activity_sink, &variants_sink, &query_sink}, opts);
+    const auto log =
+        pipeline::run(paths, pool, {&graph_sink, &stats_sink, &variants_sink, &query_sink}, opts);
 
     expect_same_log(reference, log);
     EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
     EXPECT_EQ(graph_sink.graph(), dfg::build_serial(log, f)) << workers;
     EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
     EXPECT_EQ(stats_sink.summaries(), model::summarize_cases(log, pool)) << workers;
-    expect_same_activity_log(activity_sink.log(), ref_activity);
     EXPECT_EQ(variants_sink.variants(), ref_activity.variants()) << workers;
     expect_same_log(ref_filtered, query_sink.log());
   }
@@ -239,23 +227,12 @@ TEST_F(PipelineSinks, QueueCapacityOneIsStillByteIdentical) {
     EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
     EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
 
-    // The wrappers honor the option too.
-    const auto streamed = pipeline::event_log_streamed(paths, pool, opts);
-    expect_same_log(reference, streamed);
-    const auto result = pipeline::trace_to_dfg(paths, f, pool, opts);
-    EXPECT_EQ(result.graph, ref_graph) << workers;
+    // A sink-less run and a lone DfgSink honor the option too.
+    expect_same_log(reference, pipeline::run(paths, pool, {}, opts));
+    pipeline::DfgSink lone_graph(f);
+    (void)pipeline::run(paths, pool, {&lone_graph}, opts);
+    EXPECT_EQ(lone_graph.graph(), ref_graph) << workers;
   }
-}
-
-TEST_F(PipelineSinks, TraceToDfgIsAThinWrapperOverRun) {
-  const auto paths = make_corpus();
-  const auto f = model::Mapping::call_last_components(1);
-  ThreadPool pool(3);
-  pipeline::DfgSink sink(f);
-  const auto log = pipeline::run(paths, pool, {&sink});
-  const auto wrapped = pipeline::trace_to_dfg(paths, f, pool);
-  expect_same_log(log, wrapped.log);
-  EXPECT_EQ(sink.graph(), wrapped.graph);
 }
 
 TEST_F(PipelineSinks, EmptyInputs) {

@@ -1,10 +1,10 @@
 // Acceptance tests for the streaming trace -> EventLog -> DFG pipeline
-// (pipeline/stream.hpp):
+// (pipeline::run, pipeline/sink.hpp):
 //   - streamed output is byte-identical to the staged path (sequential
 //     per-file read + convert + build_serial): case order, event
 //     order, warning strings and their order, graph equality — at 1, 2
 //     and 4 workers,
-//   - trace_to_dfg's graph equals dfg::build_serial on the same log,
+//   - a DfgSink's graph equals dfg::build_serial on the same log,
 //   - per-file fold completion (read_trace_files_streamed) matches the
 //     sequential reader file by file,
 //   - lifetime: the log owns every view after all intermediates die,
@@ -25,7 +25,7 @@
 #include "dfg/builder.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
@@ -192,12 +192,12 @@ TEST_F(PipelineStream, StreamedLogMatchesStagedAt124Workers) {
     ThreadPool pool(workers);
     pipeline::StreamOptions opts;
     opts.min_chunk_bytes = 512;  // force many chunks per file
-    const auto log = pipeline::event_log_streamed(paths, pool, opts);
+    const auto log = pipeline::run(paths, pool, {}, opts);
     expect_same_log(reference, log);
   }
 }
 
-TEST_F(PipelineStream, TraceToDfgMatchesStagedBuild) {
+TEST_F(PipelineStream, DfgSinkMatchesStagedBuild) {
   const auto paths = make_corpus(3);
   const auto reference = staged_log(paths);
   const auto f = model::Mapping::call_top_dirs(2);
@@ -205,12 +205,13 @@ TEST_F(PipelineStream, TraceToDfgMatchesStagedBuild) {
     ThreadPool pool(workers);
     pipeline::StreamOptions opts;
     opts.min_chunk_bytes = 512;
-    const auto result = pipeline::trace_to_dfg(paths, f, pool, opts);
-    expect_same_log(reference, result.log);
+    pipeline::DfgSink sink(f);
+    const auto log = pipeline::run(paths, pool, {&sink}, opts);
+    expect_same_log(reference, log);
     // The streamed graph equals both the staged build_serial and a
     // build over the streamed log itself.
-    EXPECT_EQ(result.graph, dfg::build_serial(reference, f));
-    EXPECT_EQ(result.graph, dfg::build_serial(result.log, f));
+    EXPECT_EQ(sink.graph(), dfg::build_serial(reference, f));
+    EXPECT_EQ(sink.graph(), dfg::build_serial(log, f));
   }
 }
 
@@ -221,9 +222,9 @@ TEST_F(PipelineStream, RepeatedRunsAreDeterministic) {
   pipeline::StreamOptions opts;
   opts.min_chunk_bytes = 256;
   opts.queue_capacity = 2;  // tight queue: exercise backpressure
-  const auto first = pipeline::event_log_streamed(paths, pool, opts);
+  const auto first = pipeline::run(paths, pool, {}, opts);
   for (int round = 0; round < 5; ++round) {
-    const auto log = pipeline::event_log_streamed(paths, pool, opts);
+    const auto log = pipeline::run(paths, pool, {}, opts);
     expect_same_log(first, log);
   }
 }
@@ -239,18 +240,21 @@ TEST_F(PipelineStream, EventLogFromFilesIsTheStreamingPath) {
 
 TEST_F(PipelineStream, EmptyInputs) {
   ThreadPool pool(2);
-  const auto log = pipeline::event_log_streamed({}, pool);
+  const auto log = pipeline::run({}, pool, {});
   EXPECT_EQ(log.case_count(), 0u);
-  const auto result = pipeline::trace_to_dfg({}, model::Mapping::call_only(), pool);
-  EXPECT_TRUE(result.graph.empty());
+  const auto f = model::Mapping::call_only();
+  pipeline::DfgSink sink(f);
+  (void)pipeline::run({}, pool, {&sink});
+  EXPECT_TRUE(sink.graph().empty());
 }
 
 // ---- per-file fold completion (reader layer) ---------------------------
 
 TEST_F(PipelineStream, StreamedReaderMatchesSequentialPerFile) {
   const auto paths = make_corpus(5);
+  ThreadPool pool(3);  // declared before the handle: outlives it
   strace::ParallelReadOptions opts;
-  opts.threads = 3;
+  opts.pool = &pool;
   opts.min_chunk_bytes = 256;
 
   std::mutex mu;
@@ -286,8 +290,9 @@ TEST_F(PipelineStream, StreamedHandleMoveAssignmentJoinsReplacedParse) {
   // tasks hold raw pointers into the replaced state.
   const auto batch1 = make_corpus(21);
   const auto batch2 = make_corpus(22);
+  ThreadPool pool(3);  // declared before the handle: outlives it
   strace::ParallelReadOptions opts;
-  opts.threads = 3;
+  opts.pool = &pool;
   opts.min_chunk_bytes = 256;
 
   std::mutex mu;
@@ -315,8 +320,9 @@ TEST_F(PipelineStream, StreamedHandleMoveAssignmentJoinsReplacedParse) {
 
 TEST_F(PipelineStream, StreamedReaderZeroFilesStillSignalsAllDone) {
   std::atomic<int> done_calls{0};
+  ThreadPool pool(2);  // declared before the handle: outlives it
   strace::ParallelReadOptions opts;
-  opts.threads = 2;
+  opts.pool = &pool;
   auto handle = strace::read_trace_files_streamed(
       {}, opts, [](std::size_t, strace::ReadResult&&) { FAIL() << "no files to deliver"; },
       [&] { done_calls.fetch_add(1); });
@@ -334,7 +340,7 @@ TEST_F(PipelineStream, LogOwnsEveryViewAfterIntermediatesDie) {
     ThreadPool pool(3);
     pipeline::StreamOptions opts;
     opts.min_chunk_bytes = 512;
-    log = pipeline::event_log_streamed(paths, pool, opts);
+    log = pipeline::run(paths, pool, {}, opts);
   }  // pool and every pipeline intermediate destroyed here
   // Overwrite the files on disk: the log must not notice.
   for (const auto& p : paths) {
@@ -360,7 +366,7 @@ TEST_F(PipelineStream, BadFileNameThrowsFirstInInputOrderBeforeIo) {
                                           (dir_ / "alsobad.st").string()};
   ThreadPool pool(2);
   try {
-    (void)pipeline::event_log_streamed(paths, pool);
+    (void)pipeline::run(paths, pool, {});
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("nounderscore"), std::string::npos) << e.what();
@@ -387,19 +393,21 @@ TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
   opts.strict = true;
   opts.min_chunk_bytes = 256;
   opts.queue_capacity = 1;  // maximal backpressure while failing
+  const auto f = model::Mapping::call_only();
   for (int round = 0; round < 10; ++round) {
-    EXPECT_THROW((void)pipeline::event_log_streamed(paths, pool, opts), ParseError)
+    EXPECT_THROW((void)pipeline::run(paths, pool, {}, opts), ParseError)
         << "round " << round;
-    EXPECT_THROW((void)pipeline::trace_to_dfg(paths, model::Mapping::call_only(), pool, opts),
-                 ParseError)
+    pipeline::DfgSink sink(f);
+    EXPECT_THROW((void)pipeline::run(paths, pool, {&sink}, opts), ParseError)
         << "round " << round;
+    EXPECT_TRUE(sink.graph().empty()) << "no merge on a failing run";
   }
   // The pool survives the failed runs and is still usable.
   EXPECT_EQ(pool.submit([] { return 42; }).get(), 42);
   // Non-strict, the same batch builds fine and the defect is a warning.
   pipeline::StreamOptions lenient;
   lenient.min_chunk_bytes = 256;
-  const auto log = pipeline::event_log_streamed(paths, pool, lenient);
+  const auto log = pipeline::run(paths, pool, {}, lenient);
   EXPECT_EQ(log.case_count(), paths.size());
   ASSERT_FALSE(log.warnings().empty());
   EXPECT_NE(log.warnings().front().find("bad_nodeA_3.st"), std::string::npos);
@@ -420,7 +428,7 @@ TEST_F(PipelineStream, LowestInputIndexErrorWinsDeterministically) {
   opts.min_chunk_bytes = 256;
   for (int round = 0; round < 15; ++round) {
     try {
-      (void)pipeline::event_log_streamed(paths, pool, opts);
+      (void)pipeline::run(paths, pool, {}, opts);
       FAIL() << "expected ParseError, round " << round;
     } catch (const ParseError& e) {
       // The strict error for bad1 (input index 1) must win over bad2's.

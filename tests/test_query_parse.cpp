@@ -9,13 +9,18 @@
 //   - malformed input throws QueryParseError carrying the byte offset
 //     of the offending character;
 //   - parsed queries FILTER identically to built ones (the grammar
-//     carries the whole restriction, not a rendering of it).
+//     carries the whole restriction, not a rendering of it);
+//   - hostile input (seeded bit flips, insertions, deletions and
+//     truncations of every canonical query) either parses to a query
+//     whose describe() round-trips or throws QueryParseError with an
+//     offset inside the input — never anything else.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/query.hpp"
+#include "testing_util.hpp"
 
 namespace st::model {
 namespace {
@@ -134,6 +139,40 @@ TEST(QueryParse, RejectsMalformedInputWithPosition) {
       EXPECT_NE(std::string(e.what()).find("at offset"), std::string::npos);
     }
   }
+}
+
+TEST(QueryParse, MutationSweepRoundTripsOrThrowsTyped) {
+  std::vector<std::string> canonical;
+  for (unsigned mask = 0; mask < 32; ++mask) canonical.push_back(build(mask).describe());
+  for (const auto& q : {Query().fp_contains("with space"),
+                        Query().fp_contains("a\"b").fp_contains("back\\slash"),
+                        Query().fp_contains(std::string("nul\0byte", 8)),
+                        Query().cids({"a,b", "plain"}), Query().hosts({"brace{y}"})}) {
+    canonical.push_back(q.describe());
+  }
+  Xoshiro256 rng(20261018);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const auto& text : canonical) {
+    for (int i = 0; i < 300; ++i) {
+      const std::string mutated = testing::mutate_bytes(text, rng);
+      try {
+        const Query q = Query::parse(mutated);
+        const std::string described = q.describe();
+        const Query again = Query::parse(described);
+        EXPECT_EQ(again.describe(), described) << "[" << mutated << "]";
+        EXPECT_TRUE(again == q) << "[" << mutated << "]";
+        ++parsed;
+      } catch (const QueryParseError& e) {
+        EXPECT_LE(e.position(), mutated.size()) << "[" << mutated << "]: " << e.what();
+        ++rejected;
+      }
+      // Anything else escaping parse() fails the test as an exception.
+    }
+  }
+  // Both outcomes are exercised, so the sweep is not vacuous.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(QueryParse, QueryParseErrorIsAParseError) {

@@ -1,4 +1,5 @@
-// Shared helpers for building small synthetic event logs in tests.
+// Shared helpers for building small synthetic event logs in tests,
+// plus the seeded byte mutator of the hostile-input sweeps.
 //
 // Event string fields are std::string_views; hand-built test events
 // intern their strings into a process-lifetime arena (test_arena), so
@@ -12,6 +13,7 @@
 
 #include "model/event_log.hpp"
 #include "strace/arena.hpp"
+#include "support/rng.hpp"
 
 namespace st::testing {
 
@@ -52,6 +54,35 @@ inline model::Case make_case(std::string cid, std::uint64_t rid, std::vector<mod
     e.pid = rid + 12;
   }
   return model::Case(model::CaseId{std::move(cid), std::move(host), rid}, std::move(events));
+}
+
+/// One to three seeded hostile edits of `s`, in the spirit of the
+/// bit-flip sweeps: flip one bit, insert a byte (half the time one of
+/// the grammar's structural characters), delete a byte, or truncate.
+inline std::string mutate_bytes(std::string s, Xoshiro256& rng) {
+  static constexpr char kStructural[] = "{}[](),~\"\\ %?&=+/:\n\0";  // NUL included
+  const std::size_t edits = 1 + rng.below(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t n = s.size();
+    switch (rng.below(4)) {
+      case 0:
+        if (n != 0) s[rng.below(n)] ^= static_cast<char>(1u << rng.below(8));
+        break;
+      case 1: {
+        const char c = rng.below(2) == 0 ? kStructural[rng.below(sizeof kStructural - 1)]
+                                         : static_cast<char>(rng.below(256));
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(rng.below(n + 1)), c);
+        break;
+      }
+      case 2:
+        if (n != 0) s.erase(rng.below(n), 1);
+        break;
+      default:
+        s.resize(rng.below(n + 1));
+        break;
+    }
+  }
+  return s;
 }
 
 }  // namespace st::testing
