@@ -98,6 +98,8 @@ ST_ELOG_TOOL="$build_dir/examples/elog_tool" \
   "$build_dir/bench/bench_shard" \
   --benchmark_format=json \
   --benchmark_min_time=0.2 \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   >"$shard_raw"
 
 "$build_dir/bench/bench_query" \
@@ -154,6 +156,8 @@ if [[ "$build_dir" == "$repo_root/build-native" ]]; then
     --benchmark_filter='^BM_RunSharded/' \
     --benchmark_format=json \
     --benchmark_min_time=0.2 \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     >"$nofault_raw"
 fi
 
@@ -389,20 +393,36 @@ EOF
 #         point from a -DST_DISABLE_FAULT_POINTS=ON twin build; ~1.0
 #         means the disabled registry costs nothing measurable>,
 #     "faultpoint_overhead_by_shards": {"1": .., "2": .., "4": ..},
-#     "current": <google-benchmark JSON of bench_shard>
+#     "nproc": <CPUs of the recording machine>,
+#     "repetitions": 5,
+#     "cv_by_benchmark": {"<run name>": <coefficient of variation of
+#         its real time over the repetitions>},
+#     "nofault_cv_by_benchmark": {...the same for the twin build},
+#     "current": <google-benchmark JSON of bench_shard (aggregates only)>
 #   }
+# Every figure above is computed from the median of 5 repetitions.
 python3 - "$shard_raw" "$nofault_raw" "$out_dir/BENCH_shard.json" <<'EOF'
 import json
+import os
 import sys
 
 current = json.load(open(sys.argv[1]))
 nofault = json.load(open(sys.argv[2]))
 
 def metric(name, key, data=None):
+    """`key` of the median over the repetitions of run `name`."""
     for bench in (current if data is None else data).get("benchmarks", []):
-        if bench.get("name") == name and key in bench:
+        if (bench.get("run_name") == name and bench.get("aggregate_name") == "median"
+                and key in bench):
             return bench[key]
     return None
+
+def cv_by_benchmark(data):
+    return {
+        bench["run_name"]: round(bench["real_time"], 3)
+        for bench in data.get("benchmarks", [])
+        if bench.get("aggregate_name") == "cv"
+    }
 
 def scaling(prefix, data=None):
     points = {}
@@ -438,6 +458,10 @@ out = {
     "spawned_overhead_at_1_shard": overhead,
     "faultpoint_disabled_overhead": fault_overhead,
     "faultpoint_overhead_by_shards": fault_by_shards,
+    "nproc": os.cpu_count(),
+    "repetitions": 5,
+    "cv_by_benchmark": cv_by_benchmark(current),
+    "nofault_cv_by_benchmark": cv_by_benchmark(nofault),
     "current": current,
 }
 json.dump(out, open(sys.argv[3], "w"), indent=1)

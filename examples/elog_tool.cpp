@@ -45,14 +45,24 @@
 
 namespace {
 
+/// The sharded verbs (fold-shard, merge-partials, report-sharded)
+/// cover the whole trace by design; a silently unfiltered report would
+/// be worse than an error.
+void reject_filter_flags(const st::CliParser& cli) {
+  if (cli.has("fp") || cli.has("calls")) {
+    throw st::ParseError(
+        "sharded reports cover ALL events; drop --fp/--calls (use filter on an imported "
+        "container and trace_explorer --render report for a filtered report)");
+  }
+}
+
 /// Shard worker options shared by fold-shard / report-sharded: the
 /// flags the coordinator forwards to its subprocesses.
 st::pipeline::ShardOptions shard_options(const st::CliParser& cli) {
+  reject_filter_flags(cli);
   st::pipeline::ShardOptions opts;
   opts.mapping = cli.get("map");
   opts.worker_threads = st::cliargs::thread_count(cli);
-  if (cli.has("fp")) opts.query_fp = cli.get("fp");
-  if (cli.has("calls")) opts.query_calls = cli.get("calls");
   static_cast<st::RunPolicy&>(opts.stream) = st::cliargs::run_policy(cli);
   return opts;
 }
@@ -364,6 +374,7 @@ int main(int argc, char** argv) {
       // in argument order, render the report. Byte-identical to
       // import --stream-report over the same files in the same order.
       if (args.size() < 3) throw ParseError("merge-partials takes an output and >= 1 partials");
+      reject_filter_flags(cli);
       std::vector<pipeline::ShardPartial> parts;
       parts.reserve(args.size() - 2);
       for (std::size_t i = 2; i < args.size(); ++i) {

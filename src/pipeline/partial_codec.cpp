@@ -1,13 +1,10 @@
 #include "pipeline/partial_codec.hpp"
 
 #include <bit>
-#include <sstream>
 #include <utility>
 
 #include "elog/format.hpp"
 #include "elog/v2_format.hpp"
-#include "elog/v2_store.hpp"
-#include "strace/trace_buffer.hpp"
 #include "support/crc32.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
@@ -27,8 +24,9 @@ using elog::zigzag_encode;
 
 [[noreturn]] void fail(const std::string& what) { throw IoError("partial blob: " + what); }
 
-/// Formerly the per-case activity log; no writer emits it any more.
-constexpr std::uint32_t kRetiredSectionKind = 5;
+/// Formerly the per-case activity log (5) and the query-filtered log
+/// (7); no writer emits them any more.
+[[nodiscard]] bool retired_section_kind(std::uint32_t kind) { return kind == 5 || kind == 7; }
 
 void put_svarint(std::string& out, std::int64_t v) { put_uvarint(out, zigzag_encode(v)); }
 
@@ -180,7 +178,7 @@ PartialReader::PartialReader(std::string_view blob) {
     const std::uint64_t length = load_u64(p + 8);
     p += 16;
     if (reserved != 0) fail("nonzero reserved field");
-    if (kind < 1 || kind > 9 || kind == kRetiredSectionKind) fail("unknown section kind");
+    if (kind < 1 || kind > 9 || retired_section_kind(kind)) fail("unknown section kind");
     if (length > static_cast<std::uint64_t>(end - p) ||
         static_cast<std::uint64_t>(end - p) - length < 4)
       fail("section length exceeds blob");
@@ -333,18 +331,6 @@ model::VariantCounts decode_variants_partial(const PartialReader& r) {
   return out;
 }
 
-void encode_query_log_partial(PartialWriter& w, const model::EventLog& log) {
-  std::ostringstream bytes;
-  elog::write_event_log_v2(bytes, log);
-  w.add_section(PartialSection::kQueryLog, std::move(bytes).str());
-}
-
-model::EventLog decode_query_log_partial(const PartialReader& r) {
-  auto buffer = std::make_shared<strace::TraceBuffer>(
-      std::string(r.section(PartialSection::kQueryLog)));
-  return elog::read_event_log_v2(elog::MappedElog::from_buffer(std::move(buffer)));
-}
-
 void encode_io_stats_partial(PartialWriter& w, const dfg::IoStatistics::Partial& p) {
   std::string s;
   put_uvarint(s, p.cases().size());
@@ -458,13 +444,6 @@ void ShardPartial::merge(ShardPartial&& other) {
   model::merge_variant_counts(variants, std::move(other.variants));
   io.merge(std::move(other.io));
   edges.merge(std::move(other.edges));
-  if (other.filtered) {
-    if (!filtered) {
-      filtered = std::move(other.filtered);
-    } else {
-      *filtered = model::EventLog::merge(*filtered, *other.filtered);
-    }
-  }
 }
 
 std::string encode_shard_partial(const ShardPartial& p) {
@@ -484,7 +463,6 @@ std::string encode_shard_partial(const ShardPartial& p) {
   encode_variants_partial(w, p.variants);
   encode_io_stats_partial(w, p.io);
   encode_edge_stats_partial(w, p.edges);
-  if (p.filtered) encode_query_log_partial(w, *p.filtered);
   return w.finish();
 }
 
@@ -514,7 +492,6 @@ ShardPartial decode_shard_partial(std::string_view blob) {
   p.variants = decode_variants_partial(r);
   p.io = decode_io_stats_partial(r);
   p.edges = decode_edge_stats_partial(r);
-  if (r.has_section(PartialSection::kQueryLog)) p.filtered = decode_query_log_partial(r);
   return p;
 }
 

@@ -33,14 +33,13 @@
 //   4 CaseStats    CaseSummary sequence (input order)
 //   5 (retired)    rejected as an unknown section kind
 //   6 Variants     the variant multiset
-//   7 QueryLog     the query-filtered EventLog as embedded elog v2 bytes
+//   7 (retired)    rejected as an unknown section kind
 //   8 IoStats      IoStatistics::Partial (per-case contributions)
 //   9 EdgeStats    EdgeStatistics::Partial (integer edge-gap map)
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -51,7 +50,6 @@
 #include "dfg/stats.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
-#include "model/event_log.hpp"
 #include "pipeline/sink.hpp"
 
 namespace st::pipeline {
@@ -63,9 +61,8 @@ enum class PartialSection : std::uint32_t {
   kMeta = 2,
   kDfg = 3,
   kCaseStats = 4,
-  // 5 is retired: the reader rejects it as an unknown kind.
+  // 5 and 7 are retired: the reader rejects them as unknown kinds.
   kVariants = 6,
-  kQueryLog = 7,
   kIoStats = 8,
   kEdgeStats = 9,
 };
@@ -132,11 +129,6 @@ void encode_case_stats_partial(PartialWriter& w, const std::vector<model::CaseSu
 void encode_variants_partial(PartialWriter& w, const model::VariantCounts& v);
 [[nodiscard]] model::VariantCounts decode_variants_partial(const PartialReader& r);
 
-/// The filtered log travels as embedded elog v2 bytes; the decoded log
-/// owns its storage (it adopts the in-memory container buffer).
-void encode_query_log_partial(PartialWriter& w, const model::EventLog& log);
-[[nodiscard]] model::EventLog decode_query_log_partial(const PartialReader& r);
-
 void encode_io_stats_partial(PartialWriter& w, const dfg::IoStatistics::Partial& p);
 [[nodiscard]] dfg::IoStatistics::Partial decode_io_stats_partial(const PartialReader& r);
 
@@ -160,8 +152,6 @@ struct ShardPartial {
   model::VariantCounts variants;
   dfg::IoStatistics::Partial io;
   dfg::EdgeStatistics::Partial edges;
-  /// Present iff the shard ran a query; the filtered log.
-  std::optional<model::EventLog> filtered;
 
   /// Input-order monoid fold — mirrors, analytic by analytic, exactly
   /// what pipeline::run's per-task merges do, so folding shard

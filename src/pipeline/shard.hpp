@@ -19,7 +19,6 @@
 //   - fold_shard_exe = <path>  each shard is a spawned subprocess:
 //                                <exe> fold-shard <out.partial>
 //                                      --map <name> [--threads N]
-//                                      [--fp S] [--calls a,b]
 //                                      [--keep-going]
 //                                      [--shard-index I] <traces...>
 //                              (elog_tool implements the verb). The
@@ -48,12 +47,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "dfg/edge_stats.hpp"
-#include "dfg/stats.hpp"
+#include "model/event_log.hpp"
+#include "model/mapping.hpp"
 #include "pipeline/partial_codec.hpp"
 #include "pipeline/sink.hpp"
 
@@ -75,11 +74,6 @@ struct ShardOptions {
   /// Path of the fold-shard subprocess binary (elog_tool); empty runs
   /// every shard in-process (still through the codec).
   std::string fold_shard_exe;
-
-  /// Optional streamed query (QuerySink) — the shard's filtered log
-  /// travels in the blob. `query_calls` is comma-separated families.
-  std::optional<std::string> query_fp;
-  std::optional<std::string> query_calls;
 
   /// Streaming knobs for in-process folds. Only `keep_going` crosses
   /// the process boundary (as --keep-going — it changes output);
@@ -123,41 +117,36 @@ struct ShardRunReport {
   [[nodiscard]] std::vector<std::string> to_lines() const;
 };
 
-/// Everything the merged shard partials finalize into: what the
-/// report renders from, the same analytics one pipeline::run pass over
-/// all files produces. Per-case activity traces are not carried; the
-/// variant multiset is all the report needs of L_f(C).
-struct ShardedAnalytics {
-  std::uint64_t case_count = 0;
-  std::uint64_t total_events = 0;
-  std::vector<std::string> warnings;
-  dfg::Dfg graph;
-  std::vector<model::CaseSummary> case_summaries;
-  model::VariantCounts variants;
-  dfg::IoStatistics io_stats;
-  dfg::EdgeStatistics edge_stats;
-  /// The merged (pre-finalize) IoStatistics partial — timelines render
-  /// from it without a log.
-  dfg::IoStatistics::Partial io_partial;
-  /// Present iff a query ran: the filtered log, cases in input order.
-  std::optional<model::EventLog> filtered;
-  /// Data-health counters summed across shards + warning classes
-  /// recomputed from the merged warning list (== the streamed run's).
-  DataHealth health;
-  /// Supervision outcome (spawned mode; empty shards otherwise).
+/// The merged shard partials: the same ShardPartial one fold_report
+/// over all files yields (what render_sharded_report renders), plus
+/// what supervision did (spawned mode; empty shards otherwise).
+/// Per-case activity traces are not carried; the variant multiset is
+/// all the report needs of L_f(C). `health` holds the counters summed
+/// across shards; the report derives the warning classes from the
+/// merged warning list.
+struct ShardedAnalytics : ShardPartial {
   ShardRunReport shard_report;
 };
 
-/// One shard's whole job: streams `paths` through pipeline::run with
-/// the report's sinks (DFG, case statistics, variants, I/O and edge
-/// statistics, plus a QuerySink when opts carries a query) and returns
-/// the encoded ShardPartial blob. This is the body of the
-/// `elog_tool fold-shard` verb and of in-process sharding alike.
+/// The report's one fold over L_f(C): a single pipeline::run over
+/// `paths` with the report's five sinks (DFG, case statistics,
+/// variants, I/O and edge statistics) plus `extra`, which ride the
+/// same pass after them. `log` receives the assembled EventLog; the
+/// returned partial carries its counts and warnings and the run's
+/// DataHealth. streaming_report renders it, fold_shard encodes it.
+[[nodiscard]] ShardPartial fold_report(const std::vector<std::string>& paths,
+                                       const model::Mapping& f, ThreadPool& pool,
+                                       const StreamOptions& stream_opts, model::EventLog& log,
+                                       std::span<CaseSink* const> extra = {});
+
+/// One shard's whole job: fold_report over `paths` under the mapping
+/// opts.mapping names, encoded as a ShardPartial blob. This is the body
+/// of the `elog_tool fold-shard` verb and of in-process sharding alike.
 [[nodiscard]] std::string fold_shard(const std::vector<std::string>& paths,
                                      const ShardOptions& opts);
 
-/// Input-order merge + finalize of decoded shard partials — the
-/// coordinator's reduce step, exposed for tests and merge-partials.
+/// Input-order merge of decoded shard partials — the coordinator's
+/// reduce step, exposed for tests and merge-partials.
 [[nodiscard]] ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts);
 
 /// Splits `paths` across opts.shards shards, folds each (subprocess or

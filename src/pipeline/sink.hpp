@@ -5,8 +5,8 @@
 // trace files are ingested, and CaseSink is its consumer side: one
 // streamed pass over the trace bytes feeds any set of analytics — the
 // graph build, per-case summaries, trace variants, activity and edge
-// statistics, query pre-filtering and the elog v2 writer all ride the
-// same conversion tasks on the same pool.
+// statistics and the elog v2 writer all ride the same conversion tasks
+// on the same pool.
 //
 //   files ──(buffer,chunk) parse tasks──► per-file fold ──StageQueue──►
 //     convert tasks (case_from_records + every sink's fold) ──►
@@ -59,9 +59,10 @@
 // awaited first), and NO merge() runs on a failing run — a sink is
 // either fully folded or still empty, never half-merged.
 // Lifetime: the per-task arena and TraceBuffer of a case reach fold()
-// through the context, so sinks whose output escapes the run
-// (QuerySink's filtered log) can adopt them; the run adopts them into
-// its primary EventLog before anything escapes either way.
+// through the context, so a sink that keeps views past the fold (the
+// elog v2 writer's pending cases) can hold their owners; the run
+// adopts them into its primary EventLog before anything escapes
+// either way.
 //
 // Usage — one pass, many analytics:
 //
@@ -93,7 +94,6 @@
 #include "model/case_walk.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
-#include "model/query.hpp"
 #include "strace/reader.hpp"
 #include "support/run_policy.hpp"
 
@@ -330,30 +330,6 @@ class EdgeStatsSink final : public CaseSink {
  private:
   const model::Mapping* f_;
   dfg::EdgeStatistics::Partial partial_;
-};
-
-/// Streaming pre-filter: applies a Query (its precompiled flat
-/// call-family set does a binary search per event) to every case as it
-/// converts, producing a filtered EventLog byte-identical to
-/// Query::apply on the returned log — cases the query drops never
-/// reach assembly. The filtered log adopts each kept case's arena and
-/// TraceBuffer, so it stands alone (correct owner adoption); like
-/// every derived log it carries no ingestion warnings.
-class QuerySink final : public CaseSink {
- public:
-  explicit QuerySink(model::Query q) : query_(std::move(q)) {}
-
-  [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
-  void fold(SinkPartial& p, const CaseContext& ctx) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
-
-  [[nodiscard]] const model::Query& query() const { return query_; }
-  [[nodiscard]] const model::EventLog& log() const { return log_; }
-  [[nodiscard]] model::EventLog take_log() { return std::move(log_); }
-
- private:
-  model::Query query_;
-  model::EventLog log_;
 };
 
 }  // namespace st::pipeline

@@ -15,14 +15,16 @@
 // Two ways to produce it:
 //   - build_report(log, ...): the staged path — computes every section
 //     from a materialized EventLog;
-//   - streaming_report(paths, ...): the single-pass path — composes
-//     DfgSink + CaseStatsSink + VariantsSink + IoStatsSink +
-//     EdgeStatsSink on pipeline::run, so EVERY section — graph, case
-//     table, variants, activity and edge statistics, timeline — is
-//     folded on the pool WHILE the trace files parse; no section walks
-//     the assembled log after the pass (the staged post-pass is gone,
-//     and the doubles still match compute() bit for bit thanks to the
-//     deterministic summation tree in dfg/stats.hpp).
+//   - render_sharded_report(folded, ...): renders one fold of L_f(C),
+//     a pipeline::ShardPartial. streaming_report folds it in a single
+//     pipeline::run (pipeline::fold_report: DfgSink + CaseStatsSink +
+//     VariantsSink + IoStatsSink + EdgeStatsSink), so EVERY section —
+//     graph, case table, variants, activity and edge statistics,
+//     timeline — is folded on the pool WHILE the trace files parse;
+//     the sharded report merges the same partials from fold-shard
+//     blobs. No section walks the assembled log after the pass, and
+//     the doubles still match compute() bit for bit thanks to the
+//     deterministic summation tree in dfg/stats.hpp.
 // Both render through the same ReportData core, so a section looks
 // identical no matter which path produced it.
 #pragma once
@@ -61,7 +63,7 @@ struct ReportOptions {
 
 /// The precomputed pieces every report section renders from.
 /// build_report fills it from an EventLog (assemble_report_data);
-/// streaming_report fills it from one pipeline::run pass.
+/// render_sharded_report fills it from a folded ShardPartial.
 struct ReportData {
   dfg::Dfg graph;
   dfg::IoStatistics stats;
@@ -109,14 +111,14 @@ struct StreamingReport {
   model::EventLog log;
 };
 
-/// Single-pass report straight from trace files: one pipeline::run
+/// Single-pass report straight from trace files: pipeline::fold_report
 /// streams parse -> convert while the report's five sinks (DFG, case
 /// table, variants, activity statistics, edge statistics) fold on the
-/// same pool; the optional timeline renders from the already-folded
-/// IoStatistics partial. The DFG is statistics-colored like the CLI
-/// report paths. Compared to build_report over a log from a sink-less
-/// pipeline::run, this removes the ingestion barrier plus every
-/// post-hoc walk, and adds the variants section.
+/// same pool, then render_sharded_report renders the folded partial
+/// (the optional timeline comes from the folded IoStatistics partial).
+/// Compared to build_report over a log from a sink-less pipeline::run,
+/// this removes the ingestion barrier plus every post-hoc walk, and
+/// adds the variants section.
 /// `extra_sinks` ride the same pass after the report's own sinks —
 /// elog_tool import hangs its ElogV2WriterSink here, so one streamed
 /// pass yields both the report and the container.
@@ -126,14 +128,17 @@ struct StreamingReport {
                                                const pipeline::StreamOptions& stream_opts = {},
                                                std::span<pipeline::CaseSink* const> extra_sinks = {});
 
-/// Renders the report from merged shard analytics (pipeline::run_sharded
-/// or finalize_shards over decoded fold-shard blobs), statistics-colored
-/// like streaming_report. Because the shard merge is the same monoid
-/// fold the streamed pass runs, the HTML is BYTE-identical to
-/// streaming_report over the same files with the same options — `cmp`
-/// is the acceptance test. `f` must be the mapping the shards folded
-/// with (by short name).
-[[nodiscard]] std::string render_sharded_report(const pipeline::ShardedAnalytics& analytics,
+/// Renders the report from one fold of L_f(C): fold_report's partial
+/// (streaming_report) or merged shard partials (pipeline::run_sharded,
+/// or finalize_shards over decoded fold-shard blobs), statistics-
+/// colored like the CLI report paths. The I/O and edge statistics are
+/// finalized here from the partials; the Data-health warning classes
+/// are tallied from `folded.warnings`. Because the shard merge is the
+/// same monoid fold the streamed pass runs, the sharded HTML is
+/// BYTE-identical to streaming_report over the same files with the
+/// same options — `cmp` is the acceptance test. `f` must be the
+/// mapping the partials were folded with (by short name).
+[[nodiscard]] std::string render_sharded_report(const pipeline::ShardPartial& folded,
                                                 const model::Mapping& f,
                                                 const ReportOptions& opts = {});
 

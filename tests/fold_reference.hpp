@@ -101,8 +101,8 @@ inline dfg::Dfg build_reference(const model::EventLog& log, const model::Mapping
   return g;
 }
 
-inline dfg::IoStatistics::Partial io_partial_reference(const model::EventLog& log,
-                                                       const model::Mapping& f) {
+inline dfg::IoStatistics::Partial io_stats_partial_reference(const model::EventLog& log,
+                                                             const model::Mapping& f) {
   std::vector<dfg::IoStatistics::CaseContribution> cases;
   for (const model::Case& c : log.cases()) cases.push_back(io_case_reference(c, f));
   return dfg::IoStatistics::Partial::from_cases(std::move(cases));

@@ -15,6 +15,9 @@
 //   - the served report equals build_report byte for byte under last2,
 //     with the indexed query planner on and off;
 //   - the TCP server outlives a client that resets mid-reply;
+//   - an HTTP connection is answered while an ndjson session is held
+//     open, and an HTTP request line inside that session is an
+//     unknown verb there, not a protocol switch;
 //   - hostile request lines (seeded bit flips, insertions, deletions
 //     and truncations of ndjson requests and of HTTP GET lines fed
 //     through request_from_http) always get an ok or a typed error
@@ -499,6 +502,46 @@ TEST_F(CatalogTest, ServerSurvivesAnOverlongLineAndAThousandIdleConnections) {
   EXPECT_NE(reply.find("pong\n"), std::string::npos) << reply;
   EXPECT_TRUE(reply.ends_with("bye\n")) << reply;
   ::close(polite);
+  loop.join();  // the shutdown request stopped the accept loop
+}
+
+TEST_F(CatalogTest, InterleavedHttpAndNdjsonConnections) {
+  auto catalog = make_catalog();
+  Server server(catalog, 0);
+  ThreadPool pool(2);  // one worker holds the ndjson session, one answers HTTP
+  std::thread loop([&] { server.serve_forever(pool); });
+
+  // An ndjson session, held open after its first reply.
+  const int session = connect_to(server.port());
+  send_text(session, "ping\n");
+  std::string reply;
+  char buf[256];
+  while (reply.find("pong\n") == std::string::npos) {
+    const auto n = ::recv(session, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(reply, "{\"ok\":true,\"verb\":\"ping\",\"query\":\"\",\"bytes\":5}\npong\n");
+
+  // Meanwhile an HTTP/1.0 GET on a second connection is answered.
+  const int http = connect_to(server.port());
+  send_text(http, "GET /ping HTTP/1.0\r\nHost: localhost\r\n\r\n");
+  const std::string page = read_to_eof(http);
+  EXPECT_TRUE(page.starts_with("HTTP/1.0 200 OK\r\n")) << page;
+  EXPECT_TRUE(page.ends_with("\r\n\r\npong\n")) << page;
+  ::close(http);
+
+  // Inside the session an HTTP request line is just an unknown verb;
+  // the session goes on answering.
+  send_text(session, "GET /ping HTTP/1.0\ndescribe all\nshutdown\n");
+  const std::string rest = read_to_eof(session);
+  EXPECT_TRUE(rest.starts_with("{\"ok\":false,\"error\":\"unknown verb ")) << rest;
+  EXPECT_NE(rest.find(": GET\""), std::string::npos) << rest;
+  const auto describe = rest.find("{\"ok\":true,\"verb\":\"describe\"");
+  ASSERT_NE(describe, std::string::npos) << rest;
+  EXPECT_NE(rest.find("\nall\n", describe), std::string::npos) << rest;
+  EXPECT_TRUE(rest.ends_with("bye\n")) << rest;
+  ::close(session);
   loop.join();  // the shutdown request stopped the accept loop
 }
 

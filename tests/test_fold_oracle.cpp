@@ -157,7 +157,7 @@ TEST_P(FoldOracle, EveryFoldMatchesThePerEventReference) {
     const dfg::Dfg graph = reference::build_reference(log, f);
     EXPECT_EQ(dfg::build_serial(log, f), graph);
 
-    const auto io_ref = reference::io_partial_reference(log, f);
+    const auto io_ref = reference::io_stats_partial_reference(log, f);
     dfg::IoStatistics::Partial io;
     for (const model::Case& c : log.cases()) io.add_case(model::MappedCase(c, f));
     expect_same_partial(io_ref, io);
@@ -219,7 +219,7 @@ TEST(FoldOracle, SinksSharingOneMemoizedWalkMatchTheReference) {
     }
     EXPECT_EQ(graph_sink.graph(), reference::build_reference(log, f));
     EXPECT_EQ(variants_sink.variants(), reference::variants_reference(log, f));
-    const auto io_ref = reference::io_partial_reference(log, f);
+    const auto io_ref = reference::io_stats_partial_reference(log, f);
     expect_same_partial(io_ref, io_sink.partial());
     expect_same_stats(io_ref.finalize(), io_sink.finalize());
     EXPECT_EQ(edge_sink.finalize().per_edge(), reference::edge_partial_reference(log, f).stats());

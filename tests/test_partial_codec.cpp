@@ -7,12 +7,13 @@
 //     as IoError — never silently wrong analytics,
 //   - hand-crafted valid-CRC-but-bad-content sections still fail
 //     loudly (pool ids out of range, booleans out of range, element
-//     counts exceeding the payload), and the retired section kind 5
-//     is rejected like any unknown kind.
+//     counts exceeding the payload), and the retired section kinds 5
+//     and 7 are rejected like any unknown kind.
 #include "pipeline/partial_codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "dfg/builder.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
-#include "model/query.hpp"
 #include "support/errors.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
@@ -34,7 +34,6 @@ using pipeline::PartialWriter;
 using pipeline::ShardPartial;
 using testing::ev;
 using testing::expect_same_io_stats;
-using testing::expect_same_log;
 using testing::make_case;
 
 model::EventLog sample_log() {
@@ -61,8 +60,7 @@ model::EventLog other_log() {
 
 /// Builds the ShardPartial a fold over `log` would produce (hand-built
 /// here so the codec is tested in isolation from the pipeline).
-ShardPartial sample_partial(const model::EventLog& log, bool with_query,
-                            std::vector<std::string> warnings) {
+ShardPartial sample_partial(const model::EventLog& log, std::vector<std::string> warnings) {
   const auto f = model::Mapping::call_top_dirs(2);
   ShardPartial p;
   p.case_count = log.case_count();
@@ -76,7 +74,6 @@ ShardPartial sample_partial(const model::EventLog& log, bool with_query,
     p.io.add_case(walk);
     p.edges.add_case(walk);
   }
-  if (with_query) p.filtered = model::Query().calls({"read"}).apply(log);
   return p;
 }
 
@@ -89,8 +86,6 @@ void expect_same_shard_partial(const ShardPartial& a, const ShardPartial& b) {
   EXPECT_EQ(a.variants, b.variants);
   EXPECT_EQ(a.io, b.io);
   EXPECT_EQ(a.edges, b.edges);
-  ASSERT_EQ(a.filtered.has_value(), b.filtered.has_value());
-  if (a.filtered) expect_same_log(*a.filtered, *b.filtered);
 }
 
 // ---- per-type round trips ----------------------------------------------
@@ -101,7 +96,6 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   const auto graph = dfg::build_serial(log, f);
   const auto summaries = model::summarize_cases(log);
   const auto variants = model::ActivityLog::build(log, f).variants();
-  const auto filtered = model::Query().calls({"read"}).apply(log);
   dfg::IoStatistics::Partial io;
   dfg::EdgeStatistics::Partial edges;
   for (const auto& c : log.cases()) {
@@ -116,7 +110,6 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   pipeline::encode_dfg_partial(w, graph);
   pipeline::encode_case_stats_partial(w, summaries);
   pipeline::encode_variants_partial(w, variants);
-  pipeline::encode_query_log_partial(w, filtered);
   pipeline::encode_io_stats_partial(w, io);
   pipeline::encode_edge_stats_partial(w, edges);
   const std::string blob = w.finish();
@@ -125,19 +118,13 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   EXPECT_EQ(pipeline::decode_dfg_partial(r), graph);
   EXPECT_EQ(pipeline::decode_case_stats_partial(r), summaries);
   EXPECT_EQ(pipeline::decode_variants_partial(r), variants);
-  expect_same_log(pipeline::decode_query_log_partial(r), filtered);
   EXPECT_EQ(pipeline::decode_io_stats_partial(r), io);
   EXPECT_EQ(pipeline::decode_edge_stats_partial(r), edges);
 }
 
-TEST(PartialCodec, ShardPartialRoundTripsWithAndWithoutQuery) {
-  for (const bool with_query : {false, true}) {
-    const ShardPartial p =
-        sample_partial(sample_log(), with_query, {"big_nodeA_9001.st: line 4: noise"});
-    const std::string blob = pipeline::encode_shard_partial(p);
-    const ShardPartial q = pipeline::decode_shard_partial(blob);
-    expect_same_shard_partial(p, q);
-  }
+TEST(PartialCodec, ShardPartialRoundTrips) {
+  const ShardPartial p = sample_partial(sample_log(), {"big_nodeA_9001.st: line 4: noise"});
+  expect_same_shard_partial(p, pipeline::decode_shard_partial(pipeline::encode_shard_partial(p)));
 }
 
 TEST(PartialCodec, ReencodingADecodedBlobIsByteStable) {
@@ -145,7 +132,7 @@ TEST(PartialCodec, ReencodingADecodedBlobIsByteStable) {
   // reproduce the canonical bytes — the property that lets the
   // coordinator (or a cache) treat blobs as content-addressable.
   const std::string blob =
-      pipeline::encode_shard_partial(sample_partial(sample_log(), true, {"w: warn"}));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), {"w: warn"}));
   EXPECT_EQ(pipeline::encode_shard_partial(pipeline::decode_shard_partial(blob)), blob);
 }
 
@@ -155,13 +142,13 @@ TEST(PartialCodec, DecodeThenMergeEqualsDirectMerge) {
   const std::vector<std::string> w1 = {"a.st: warn", "shared: tail warn"};
   const std::vector<std::string> w2 = {"shared: tail warn", "b.st: warn"};
 
-  ShardPartial direct = sample_partial(sample_log(), true, w1);
-  direct.merge(sample_partial(other_log(), true, w2));
+  ShardPartial direct = sample_partial(sample_log(), w1);
+  direct.merge(sample_partial(other_log(), w2));
 
   ShardPartial via = pipeline::decode_shard_partial(
-      pipeline::encode_shard_partial(sample_partial(sample_log(), true, w1)));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), w1)));
   via.merge(pipeline::decode_shard_partial(
-      pipeline::encode_shard_partial(sample_partial(other_log(), true, w2))));
+      pipeline::encode_shard_partial(sample_partial(other_log(), w2))));
 
   expect_same_shard_partial(direct, via);
   EXPECT_EQ(direct.warnings,
@@ -175,7 +162,7 @@ TEST(PartialCodec, DecodeThenMergeEqualsDirectMerge) {
 
 TEST(PartialCodec, EveryTruncationIsIoError) {
   const std::string blob =
-      pipeline::encode_shard_partial(sample_partial(sample_log(), false, {"a.st: warn"}));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), {"a.st: warn"}));
   for (std::size_t len = 0; len < blob.size(); ++len) {
     EXPECT_THROW((void)pipeline::decode_shard_partial(blob.substr(0, len)), IoError)
         << "prefix length " << len;
@@ -184,7 +171,7 @@ TEST(PartialCodec, EveryTruncationIsIoError) {
 
 TEST(PartialCodec, EverySingleBitFlipIsIoError) {
   const std::string blob =
-      pipeline::encode_shard_partial(sample_partial(sample_log(), false, {"a.st: warn"}));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), {"a.st: warn"}));
   std::string mutated = blob;
   for (std::size_t i = 0; i < blob.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -214,30 +201,34 @@ TEST(PartialCodec, MissingRequiredSectionIsIoError) {
   EXPECT_THROW((void)pipeline::decode_shard_partial(w.finish()), IoError);
 }
 
-TEST(PartialCodec, RetiredSectionKindFiveIsIoError) {
+TEST(PartialCodec, RetiredSectionKindsAreIoError) {
   // A blob in the shape older writers emitted — every section of a
-  // shard partial plus a kind-5 section with a valid checksum — must
-  // fail as an unknown section kind, never decode. Without the kind-5
-  // section the same blob decodes.
-  const ShardPartial p = sample_partial(sample_log(), false, {"a.st: warn"});
-  const auto build = [&p](bool with_retired) {
+  // shard partial plus a kind-5 (per-case activity log) or kind-7
+  // (query-filtered log) section with a valid checksum — must fail as
+  // an unknown section kind, never decode. Without the retired section
+  // the same blob decodes.
+  const ShardPartial p = sample_partial(sample_log(), {"a.st: warn"});
+  const auto build = [&p](std::uint32_t retired) {
     PartialWriter w;
     w.add_section(PartialSection::kMeta, std::string(7, '\0'));  // seven zero counters
     pipeline::encode_dfg_partial(w, p.graph);
     pipeline::encode_case_stats_partial(w, p.case_summaries);
-    if (with_retired) w.add_section(static_cast<PartialSection>(5), std::string(1, '\0'));
+    if (retired != 0) w.add_section(static_cast<PartialSection>(retired), std::string(1, '\0'));
     pipeline::encode_variants_partial(w, p.variants);
     pipeline::encode_io_stats_partial(w, p.io);
     pipeline::encode_edge_stats_partial(w, p.edges);
     return w.finish();
   };
-  EXPECT_EQ(pipeline::decode_shard_partial(build(false)).variants, p.variants);
-  const std::string blob = build(true);
-  try {
-    (void)pipeline::decode_shard_partial(blob);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown section kind"), std::string::npos) << e.what();
+  EXPECT_EQ(pipeline::decode_shard_partial(build(0)).variants, p.variants);
+  for (const std::uint32_t retired : {5u, 7u}) {
+    const std::string blob = build(retired);
+    try {
+      (void)pipeline::decode_shard_partial(blob);
+      ADD_FAILURE() << "expected IoError for section kind " << retired;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown section kind"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

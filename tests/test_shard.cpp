@@ -11,12 +11,10 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "dfg/stats.hpp"
-#include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
 #include "report/report.hpp"
@@ -27,7 +25,6 @@ namespace st {
 namespace {
 
 using testing::expect_same_io_stats;
-using testing::expect_same_log;
 
 class Shard : public testing::CorpusTest {
  protected:
@@ -60,8 +57,8 @@ TEST_F(Shard, AnyShardCountIsBitIdenticalToTheStreamedRun) {
     EXPECT_EQ(analytics.case_count, reference.log.case_count()) << shards;
     EXPECT_EQ(analytics.total_events, reference.log.total_events()) << shards;
     EXPECT_EQ(analytics.warnings, reference.log.warnings()) << shards;
-    expect_same_io_stats(analytics.io_stats, ref_io);
-    EXPECT_EQ(analytics.edge_stats.per_edge(), ref_edges.per_edge()) << shards;
+    expect_same_io_stats(analytics.io.finalize(), ref_io);
+    EXPECT_EQ(analytics.edges.finalize().per_edge(), ref_edges.per_edge()) << shards;
     // The rendered report: BYTE-identical to the streamed one.
     EXPECT_EQ(report::render_sharded_report(analytics, f, report_opts), reference.html)
         << shards;
@@ -86,36 +83,13 @@ TEST_F(Shard, TimelineSectionSurvivesTheShardBoundary) {
   EXPECT_EQ(report::render_sharded_report(analytics, f, report_opts), reference.html);
 }
 
-TEST_F(Shard, QueryFilteredLogCrossesTheShardBoundaryIntact) {
-  const auto paths = make_corpus();
-  const auto f = model::mapping_by_name("top2");
-
-  // Reference: the same query as a streamed QuerySink.
-  ThreadPool pool(3);
-  pipeline::QuerySink query_sink(
-      model::Query().fp_contains("/p/").calls({"read", "write"}));
-  (void)pipeline::run(paths, pool, {&query_sink});
-  const model::EventLog ref_filtered = query_sink.take_log();
-  ASSERT_GT(ref_filtered.total_events(), 0u);
-
-  for (const std::size_t shards : {1u, 3u}) {
-    auto opts = base_options(shards);
-    opts.query_fp = "/p/";
-    opts.query_calls = "read,write";
-    const auto analytics = pipeline::run_sharded(paths, opts);
-    ASSERT_TRUE(analytics.filtered.has_value()) << shards;
-    expect_same_log(ref_filtered, *analytics.filtered);
-  }
-}
-
 TEST_F(Shard, EmptyInputProducesEmptyAnalytics) {
   const auto analytics = pipeline::run_sharded({}, base_options(4));
   EXPECT_EQ(analytics.case_count, 0u);
   EXPECT_EQ(analytics.total_events, 0u);
   EXPECT_TRUE(analytics.warnings.empty());
   EXPECT_TRUE(analytics.graph.empty());
-  EXPECT_TRUE(analytics.io_partial.empty());
-  EXPECT_FALSE(analytics.filtered.has_value());
+  EXPECT_TRUE(analytics.io.empty());
 }
 
 // ---- the subprocess path (gated on the built elog_tool) ----------------
@@ -140,26 +114,6 @@ TEST_F(Shard, SpawnedFoldShardMatchesInProcessByteForByte) {
     EXPECT_EQ(report::render_sharded_report(analytics, f, report_opts), reference.html)
         << shards;
   }
-}
-
-TEST_F(Shard, SpawnedQueryCrossesTheProcessBoundary) {
-  const char* exe = std::getenv("ST_ELOG_TOOL");
-  if (exe == nullptr || *exe == '\0' || !std::filesystem::exists(exe)) {
-    GTEST_SKIP() << "ST_ELOG_TOOL unset or not built (ctest exports the path)";
-  }
-  const auto paths = make_corpus();
-
-  auto in_proc = base_options(2);
-  in_proc.query_fp = "/p/";
-  in_proc.query_calls = "read,write";
-  auto spawned = in_proc;
-  spawned.fold_shard_exe = exe;
-
-  const auto a = pipeline::run_sharded(paths, in_proc);
-  const auto b = pipeline::run_sharded(paths, spawned);
-  ASSERT_TRUE(a.filtered.has_value());
-  ASSERT_TRUE(b.filtered.has_value());
-  expect_same_log(*a.filtered, *b.filtered);
 }
 
 // ---- error paths -------------------------------------------------------
