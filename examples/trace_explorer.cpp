@@ -205,6 +205,10 @@ int main(int argc, char** argv) {
         try {
           auto part =
               elog::read_event_log_file_indexed(p, elog::ElogReadOptions{cliargs::run_policy(cli)});
+          // Quarantine warnings ride on part.log; the merge drops them.
+          for (const auto& w : part.log.warnings()) {
+            std::cerr << "warning: " << p << ": " << w << "\n";
+          }
           if (part.mapped) {
             // Cleanly-read v2 container: remember the slice so --query
             // runs through the indexed planner (byte-identical result).

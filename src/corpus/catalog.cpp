@@ -91,16 +91,8 @@ std::shared_ptr<const dfg::Dfg> Catalog::graph(const model::Query& q) {
   return artifact<dfg::Dfg>("graph", &Catalog::compute_graph, q);
 }
 
-std::shared_ptr<const dfg::IoStatistics> Catalog::io_stats(const model::Query& q) {
-  return artifact<dfg::IoStatistics>("iostats", &Catalog::compute_io_stats, q);
-}
-
 std::shared_ptr<const std::vector<model::CaseSummary>> Catalog::summaries(const model::Query& q) {
   return artifact<std::vector<model::CaseSummary>>("summaries", &Catalog::compute_summaries, q);
-}
-
-std::shared_ptr<const model::VariantCounts> Catalog::variants(const model::Query& q) {
-  return artifact<model::VariantCounts>("variants", &Catalog::compute_variants, q);
 }
 
 std::shared_ptr<const std::string> Catalog::report_html(const model::Query& q) {
@@ -184,30 +176,19 @@ std::shared_ptr<const void> Catalog::compute_graph(const model::Query& q) {
   return std::make_shared<const dfg::Dfg>(dfg::build_serial(*filtered(q), mapping_));
 }
 
-std::shared_ptr<const void> Catalog::compute_io_stats(const model::Query& q) {
-  return std::make_shared<const dfg::IoStatistics>(
-      dfg::IoStatistics::compute(*filtered(q), mapping_));
-}
-
 std::shared_ptr<const void> Catalog::compute_summaries(const model::Query& q) {
   return std::make_shared<const std::vector<model::CaseSummary>>(
       model::summarize_cases(*filtered(q)));
 }
 
-std::shared_ptr<const void> Catalog::compute_variants(const model::Query& q) {
-  return std::make_shared<const model::VariantCounts>(
-      model::ActivityLog::build(*filtered(q), mapping_).variants());
-}
-
 std::shared_ptr<const void> Catalog::compute_report(const model::Query& q) {
-  const auto log = filtered(q);
-  const auto stats = io_stats(q);
-  const dfg::StatisticsColoring styler(*stats);
-  // build_report minus its IoStatistics::compute: the cached artifact
-  // is that same computation over the same filtered log.
+  // build_report over the filtered view: one walk, one assembly.
   const auto opts = query_report_options(q, mapping_);
-  return std::make_shared<const std::string>(report::render_report(
-      report::assemble_report_data(*log, mapping_, *stats, opts), mapping_, &styler, opts));
+  const report::ReportData data =
+      report::assemble_report_data(report::fold_log(*filtered(q), mapping_), opts);
+  const dfg::StatisticsColoring styler(data.stats);
+  return std::make_shared<const std::string>(
+      report::render_report(data, mapping_, &styler, opts));
 }
 
 }  // namespace st::corpus

@@ -4,9 +4,9 @@
 // primitives re-packaged for heavy concurrent READ traffic: load the
 // corpus once (elog v2 containers open by mmap with zero reparse;
 // trace files stream through pipeline::run), hold it immutably behind
-// shared_ptr ownership, and memoize every derived artifact — query-
-// filtered logs, DFGs, I/O statistics, case summaries,
-// variant multisets, full HTML reports — in a thread-safe LRU cache.
+// shared_ptr ownership, and memoize exactly the derived artifacts the
+// serve verbs read — query-filtered logs, DFGs, case summaries and full
+// HTML reports — in a thread-safe LRU cache.
 //
 // The cache key IS the wire format: artifacts are keyed by the
 // canonical Query::describe() fingerprint (plus the artifact kind), so
@@ -25,10 +25,12 @@
 //
 // Determinism contract: every artifact is byte-identical to the
 // offline CLI path over the same inputs — filtered logs use the same
-// serial Query::apply, reports build_report's ReportData assembly
-// (fed the cached io_stats artifact instead of recomputing it) with
-// the same ReportOptions (query_report_options below is shared with
+// serial Query::apply, reports build_report's one walk and one
+// ReportData assembly over the cached filtered log, with the same
+// ReportOptions (query_report_options below is shared with
 // trace_explorer), so CI can cmp served bytes against the batch tool.
+// A report miss therefore computes two entries: the filtered view and
+// the report.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +42,7 @@
 #include <vector>
 
 #include "dfg/dfg.hpp"
-#include "dfg/stats.hpp"
 #include "elog/v2_select.hpp"
-#include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
@@ -113,13 +113,9 @@ class Catalog {
   [[nodiscard]] std::shared_ptr<const model::EventLog> filtered(const model::Query& q);
   /// DFG of the filtered view under the catalog mapping.
   [[nodiscard]] std::shared_ptr<const dfg::Dfg> graph(const model::Query& q);
-  /// Activity/I-O statistics of the filtered view.
-  [[nodiscard]] std::shared_ptr<const dfg::IoStatistics> io_stats(const model::Query& q);
   /// Per-case summary rows of the filtered view.
   [[nodiscard]] std::shared_ptr<const std::vector<model::CaseSummary>> summaries(
       const model::Query& q);
-  /// Trace-variant multiset of the filtered view.
-  [[nodiscard]] std::shared_ptr<const model::VariantCounts> variants(const model::Query& q);
   /// The full self-contained HTML report of the filtered view —
   /// byte-identical to `trace_explorer --query <q> --render report`.
   [[nodiscard]] std::shared_ptr<const std::string> report_html(const model::Query& q);
@@ -145,9 +141,7 @@ class Catalog {
 
   std::shared_ptr<const void> compute_filtered(const model::Query& q);
   std::shared_ptr<const void> compute_graph(const model::Query& q);
-  std::shared_ptr<const void> compute_io_stats(const model::Query& q);
   std::shared_ptr<const void> compute_summaries(const model::Query& q);
-  std::shared_ptr<const void> compute_variants(const model::Query& q);
   std::shared_ptr<const void> compute_report(const model::Query& q);
 
   CatalogOptions opts_;

@@ -266,42 +266,4 @@ LoadedElog read_event_log_file_indexed(const std::string& path, const ElogReadOp
   return {read_event_log(in), nullptr};
 }
 
-ElogAppender::ElogAppender(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::trunc) {
-  if (!out_) throw IoError("cannot create elog file: " + path);
-  out_.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
-  std::string count;
-  put_u64(count, 0);  // patched by finalize()
-  out_.write(count.data(), static_cast<std::streamsize>(count.size()));
-  if (!out_) throw IoError("elog write failed");
-}
-
-ElogAppender::~ElogAppender() {
-  try {
-    finalize();
-  } catch (const Error&) {
-    // Destructors must not throw; an unfinalized file is unreadable
-    // (missing FEND), which is the safe failure mode.
-  }
-}
-
-void ElogAppender::append(const model::Case& c) {
-  if (finalized_) throw LogicError("ElogAppender::append after finalize");
-  write_case(out_, c);
-  ++cases_written_;
-}
-
-void ElogAppender::finalize() {
-  if (finalized_) return;
-  write_chunk(out_, kTagFileEnd, {});
-  // Patch the case count at its fixed offset right after the magic.
-  out_.seekp(static_cast<std::streamoff>(kMagic.size()));
-  std::string count;
-  put_u64(count, cases_written_);
-  out_.write(count.data(), static_cast<std::streamsize>(count.size()));
-  out_.flush();
-  if (!out_) throw IoError("elog finalize failed");
-  finalized_ = true;
-}
-
 }  // namespace st::elog

@@ -8,7 +8,6 @@
 // events are re-sorted by start (idempotent for valid files).
 #pragma once
 
-#include <fstream>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -57,33 +56,5 @@ struct LoadedElog {
 };
 [[nodiscard]] LoadedElog read_event_log_file_indexed(const std::string& path,
                                                      const ElogReadOptions& opts = {});
-
-/// Incremental writer: cases are appended one at a time (e.g. as trace
-/// files finish parsing) without holding the whole log in memory. The
-/// case count lives at a fixed offset after the magic and is patched
-/// on finalize(); a file that was never finalized fails to read
-/// (missing FEND), so partial writes cannot be mistaken for complete
-/// logs.
-class ElogAppender {
- public:
-  explicit ElogAppender(const std::string& path);
-  ElogAppender(const ElogAppender&) = delete;
-  ElogAppender& operator=(const ElogAppender&) = delete;
-  /// Finalizes implicitly if finalize() was not called (errors are
-  /// swallowed in the destructor; call finalize() to observe them).
-  ~ElogAppender();
-
-  void append(const model::Case& c);
-
-  /// Writes the FEND chunk and patches the case count. Idempotent.
-  void finalize();
-
-  [[nodiscard]] std::size_t cases_written() const { return cases_written_; }
-
- private:
-  std::ofstream out_;
-  std::size_t cases_written_ = 0;
-  bool finalized_ = false;
-};
 
 }  // namespace st::elog

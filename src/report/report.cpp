@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <utility>
 
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
@@ -158,32 +157,42 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
   return html;
 }
 
-ReportData assemble_report_data(const model::EventLog& log, const model::Mapping& f,
-                                dfg::IoStatistics stats, const ReportOptions& opts) {
-  ReportData data;
-  // The graph and the edge statistics fold the same walk of each case.
-  dfg::EdgeStatistics::Partial edges;
+pipeline::ShardPartial fold_log(const model::EventLog& log, const model::Mapping& f) {
+  pipeline::ShardPartial folded;
+  folded.case_summaries.reserve(log.case_count());
   model::MappedCase walk;
   for (const model::Case& c : log.cases()) {
     walk.assign(c, f);
-    dfg::add_case_trace(data.graph, walk);
-    edges.add_case(walk);
+    dfg::add_case_trace(folded.graph, walk);
+    folded.io.add_case(walk);
+    folded.edges.add_case(walk);
+    folded.case_summaries.push_back(model::summarize_case(c));
   }
-  data.stats = std::move(stats);
-  data.edge_stats = std::move(edges).finalize();
-  data.case_summaries = model::summarize_cases(log);
-  data.case_count = log.case_count();
-  data.total_events = log.total_events();
+  folded.case_count = log.case_count();
+  folded.total_events = log.total_events();
+  return folded;
+}
+
+ReportData assemble_report_data(const pipeline::ShardPartial& folded, const ReportOptions& opts) {
+  ReportData data;
+  data.graph = folded.graph;
+  data.stats = folded.io.finalize();
+  data.edge_stats = folded.edges.finalize();
+  data.case_summaries = folded.case_summaries;
+  data.case_count = folded.case_count;
+  data.total_events = folded.total_events;
   if (opts.timeline_activity) {
-    data.timeline = dfg::IoStatistics::timeline(log, f, *opts.timeline_activity);
+    data.timeline = folded.io.timeline(*opts.timeline_activity);
   }
   return data;
 }
 
 std::string build_report(const model::EventLog& log, const model::Mapping& f,
                          const dfg::Styler* styler, const ReportOptions& opts) {
-  return render_report(
-      assemble_report_data(log, f, dfg::IoStatistics::compute(log, f), opts), f, styler, opts);
+  // The folded partial (its per-case intervals above all) is freed
+  // here, before layout and rendering.
+  const ReportData data = assemble_report_data(fold_log(log, f), opts);
+  return render_report(data, f, styler, opts);
 }
 
 void write_report_file(const std::string& path, const model::EventLog& log,
@@ -208,22 +217,13 @@ StreamingReport streaming_report(const std::vector<std::string>& paths, const mo
 
 std::string render_sharded_report(const pipeline::ShardPartial& folded, const model::Mapping& f,
                                   const ReportOptions& opts) {
-  ReportData data;
-  data.graph = folded.graph;
-  data.stats = folded.io.finalize();
-  data.edge_stats = folded.edges.finalize();
-  data.case_summaries = folded.case_summaries;
-  data.case_count = folded.case_count;
-  data.total_events = folded.total_events;
+  ReportData data = assemble_report_data(folded, opts);
   data.variants = folded.variants;
   // Only the counters cross a shard boundary; the classes come from the
   // whole warning list, so every fold of the same files agrees on them.
   data.health = folded.health;
   data.health->warnings_by_class.clear();
   data.health->classify(folded.warnings);
-  if (opts.timeline_activity) {
-    data.timeline = folded.io.timeline(*opts.timeline_activity);
-  }
   const dfg::StatisticsColoring styler(data.stats);
   return render_report(data, f, &styler, opts);
 }

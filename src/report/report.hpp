@@ -12,20 +12,22 @@
 //
 // Everything is embedded: one .html file, no external assets.
 //
-// Two ways to produce it:
-//   - build_report(log, ...): the staged path — computes every section
-//     from a materialized EventLog;
-//   - render_sharded_report(folded, ...): renders one fold of L_f(C),
-//     a pipeline::ShardPartial. streaming_report folds it in a single
-//     pipeline::run (pipeline::fold_report: DfgSink + CaseStatsSink +
-//     VariantsSink + IoStatsSink + EdgeStatsSink), so EVERY section —
-//     graph, case table, variants, activity and edge statistics,
-//     timeline — is folded on the pool WHILE the trace files parse;
-//     the sharded report merges the same partials from fold-shard
-//     blobs. No section walks the assembled log after the pass, and
-//     the doubles still match compute() bit for bit thanks to the
-//     deterministic summation tree in dfg/stats.hpp.
-// Both render through the same ReportData core, so a section looks
+// One assembly behind every report: a report renders from one fold of
+// L_f(C), a pipeline::ShardPartial, through assemble_report_data.
+// Where that fold comes from is the only difference between the paths:
+//   - build_report(log, ...) and the served report fold a materialized
+//     EventLog in one walk (fold_log: one model::MappedCase per case
+//     feeds the graph and both statistics partials);
+//   - streaming_report folds the trace files in a single pipeline::run
+//     (pipeline::fold_report: DfgSink + CaseStatsSink + VariantsSink +
+//     IoStatsSink + EdgeStatsSink), so EVERY section is folded on the
+//     pool WHILE the trace files parse; the sharded report merges the
+//     same partials from fold-shard blobs. Both render through
+//     render_sharded_report, which adds the two ingestion sections
+//     (variants, data health).
+// The I/O and edge statistics are finalized from the partials, and the
+// doubles still match compute() bit for bit thanks to the
+// deterministic summation tree in dfg/stats.hpp, so a section looks
 // identical no matter which path produced it.
 #pragma once
 
@@ -61,9 +63,9 @@ struct ReportOptions {
   std::string partition_legend;
 };
 
-/// The precomputed pieces every report section renders from.
-/// build_report fills it from an EventLog (assemble_report_data);
-/// render_sharded_report fills it from a folded ShardPartial.
+/// The precomputed pieces every report section renders from, filled
+/// from a folded partial by assemble_report_data (the ingestion
+/// sections by render_sharded_report).
 struct ReportData {
   dfg::Dfg graph;
   dfg::IoStatistics stats;
@@ -86,16 +88,21 @@ struct ReportData {
 [[nodiscard]] std::string render_report(const ReportData& data, const model::Mapping& f,
                                         const dfg::Styler* styler, const ReportOptions& opts = {});
 
-/// The ReportData of a materialized log, with its activity statistics
-/// supplied by the caller: `stats` must be IoStatistics::compute(log,
-/// f). A caller that already holds them (the serve Catalog's cached
-/// statistics artifact) skips computing them a second time.
-[[nodiscard]] ReportData assemble_report_data(const model::EventLog& log, const model::Mapping& f,
-                                              dfg::IoStatistics stats,
+/// One walk over a materialized log: each case is mapped once and feeds
+/// the graph, the I/O and edge statistics partials, the case summary
+/// and the counts. Variants, warnings and health stay empty — a report
+/// of a materialized log renders neither ingestion section.
+[[nodiscard]] pipeline::ShardPartial fold_log(const model::EventLog& log, const model::Mapping& f);
+
+/// The one ReportData assembly: copies the graph, case summaries and
+/// counts, finalizes the I/O and edge statistics from the (const)
+/// partials and takes the timeline from the folded I/O partial.
+[[nodiscard]] ReportData assemble_report_data(const pipeline::ShardPartial& folded,
                                               const ReportOptions& opts = {});
 
-/// Builds the full report from a materialized log (computes ReportData
-/// and renders it). `styler` may be null (uncolored DFG).
+/// Builds the full report from a materialized log (fold_log, then
+/// assemble_report_data, then render_report). `styler` may be null
+/// (uncolored DFG).
 [[nodiscard]] std::string build_report(const model::EventLog& log, const model::Mapping& f,
                                        const dfg::Styler* styler, const ReportOptions& opts = {});
 
@@ -131,9 +138,9 @@ struct StreamingReport {
 /// Renders the report from one fold of L_f(C): fold_report's partial
 /// (streaming_report) or merged shard partials (pipeline::run_sharded,
 /// or finalize_shards over decoded fold-shard blobs), statistics-
-/// colored like the CLI report paths. The I/O and edge statistics are
-/// finalized here from the partials; the Data-health warning classes
-/// are tallied from `folded.warnings`. Because the shard merge is the
+/// colored like the CLI report paths. assemble_report_data plus the
+/// two ingestion sections: the variants, and the Data-health warning
+/// classes tallied from `folded.warnings`. Because the shard merge is the
 /// same monoid fold the streamed pass runs, the sharded HTML is
 /// BYTE-identical to streaming_report over the same files with the
 /// same options — `cmp` is the acceptance test. `f` must be the

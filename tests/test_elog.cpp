@@ -151,57 +151,6 @@ TEST(Elog, PreservesEventOrderAndIdentity) {
   EXPECT_EQ(c->events()[0].size, -1);
 }
 
-TEST(ElogAppender, IncrementalWriteMatchesBulkWrite) {
-  const std::string path = ::testing::TempDir() + "/appender.elog";
-  const auto log = sample_log();
-  {
-    ElogAppender appender(path);
-    for (const auto& c : log.cases()) appender.append(c);
-    EXPECT_EQ(appender.cases_written(), 2u);
-    appender.finalize();
-  }
-  EXPECT_TRUE(logs_equal(sample_log(), read_event_log_file(path)));
-  std::filesystem::remove(path);
-}
-
-TEST(ElogAppender, DestructorFinalizes) {
-  const std::string path = ::testing::TempDir() + "/appender_dtor.elog";
-  const auto log = sample_log();
-  {
-    ElogAppender appender(path);
-    appender.append(log.cases()[0]);
-  }  // no explicit finalize
-  EXPECT_EQ(read_event_log_file(path).case_count(), 1u);
-  std::filesystem::remove(path);
-}
-
-TEST(ElogAppender, AppendAfterFinalizeThrows) {
-  const std::string path = ::testing::TempDir() + "/appender_after.elog";
-  const auto log = sample_log();
-  ElogAppender appender(path);
-  appender.finalize();
-  EXPECT_THROW(appender.append(log.cases()[0]), LogicError);
-  std::filesystem::remove(path);
-}
-
-TEST(ElogAppender, FinalizeIsIdempotent) {
-  const std::string path = ::testing::TempDir() + "/appender_idem.elog";
-  const auto log = sample_log();
-  ElogAppender appender(path);
-  appender.append(log.cases()[0]);
-  appender.finalize();
-  appender.finalize();
-  EXPECT_EQ(read_event_log_file(path).case_count(), 1u);
-  std::filesystem::remove(path);
-}
-
-TEST(ElogAppender, EmptyFileReadsAsEmptyLog) {
-  const std::string path = ::testing::TempDir() + "/appender_empty.elog";
-  ElogAppender(path).finalize();
-  EXPECT_EQ(read_event_log_file(path).case_count(), 0u);
-  std::filesystem::remove(path);
-}
-
 // ---- hardening: corrupt counts/lengths must fail fast, not allocate ----
 
 TEST(ElogHardening, PayloadReaderTruncatedPrimitivesThrow) {

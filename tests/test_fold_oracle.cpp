@@ -3,12 +3,14 @@
 // (build_serial, add_case_trace), the I/O statistics (the Partial's
 // per-case contributions, and every ActivityStat double compared
 // bitwise after finalize), the edge statistics, the activity log and
-// its variant multiset, the timeline, the report's one-walk assembly
-// and the pipeline sinks sharing one memoized walk through
-// CaseContext — under all 7 registry mappings, a filtered_fp mapping
-// and a custom mapping that leaves events unmapped, over randomized
-// logs with hostile paths ('//' runs, trailing '/', relative and empty
-// paths, more components asked for than a path has).
+// its variant multiset, the timeline, the report's one walk and one
+// ReportData assembly (fold_log + assemble_report_data: graph, I/O and
+// edge statistics, case summaries, counts and a timeline) and the
+// pipeline sinks sharing one memoized walk through CaseContext — under
+// all 7 registry mappings, a filtered_fp mapping and a custom mapping
+// that leaves events unmapped, over randomized logs with hostile paths
+// ('//' runs, trailing '/', relative and empty paths, more components
+// asked for than a path has).
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -24,6 +26,7 @@
 #include "dfg/stats.hpp"
 #include "fold_reference.hpp"
 #include "model/activity_log.hpp"
+#include "model/case_stats.hpp"
 #include "model/case_walk.hpp"
 #include "model/mapping.hpp"
 #include "pipeline/sink.hpp"
@@ -184,10 +187,20 @@ TEST_P(FoldOracle, EveryFoldMatchesThePerEventReference) {
       expect_same_timeline(reference::timeline_reference(log, f, a), io.timeline(a));
     }
 
-    // The report's one-walk assembly feeds both from the same walk.
-    const auto data = report::assemble_report_data(log, f, stats_ref);
+    // The report's one walk plus its one assembly: every section equals
+    // its reference, the doubles bitwise.
+    report::ReportOptions opts;
+    opts.timeline_activity = probes.back();
+    const auto data = report::assemble_report_data(report::fold_log(log, f), opts);
     EXPECT_EQ(data.graph, graph);
+    expect_same_stats(stats_ref, data.stats);
     EXPECT_EQ(data.edge_stats.per_edge(), edge_ref.stats());
+    EXPECT_EQ(data.case_summaries, model::summarize_cases(log));
+    EXPECT_EQ(data.case_count, log.case_count());
+    EXPECT_EQ(data.total_events, log.total_events());
+    expect_same_timeline(reference::timeline_reference(log, f, probes.back()), data.timeline);
+    EXPECT_FALSE(data.variants);
+    EXPECT_FALSE(data.health);
   }
 }
 

@@ -33,7 +33,7 @@ using pipeline::PartialSection;
 using pipeline::PartialWriter;
 using pipeline::ShardPartial;
 using testing::ev;
-using testing::expect_same_io_stats;
+using testing::expect_same_io_statistics;
 using testing::make_case;
 
 model::EventLog sample_log() {
@@ -154,7 +154,7 @@ TEST(PartialCodec, DecodeThenMergeEqualsDirectMerge) {
   EXPECT_EQ(direct.warnings,
             (std::vector<std::string>{"a.st: warn", "shared: tail warn", "b.st: warn"}));
   // And the finalized doubles agree bit for bit.
-  expect_same_io_stats(direct.io.finalize(), via.io.finalize());
+  expect_same_io_statistics(direct.io.finalize(), via.io.finalize());
   EXPECT_EQ(direct.edges.finalize().per_edge(), via.edges.finalize().per_edge());
 }
 

@@ -24,7 +24,7 @@
 namespace st {
 namespace {
 
-using testing::expect_same_io_stats;
+using testing::expect_same_io_statistics;
 
 class Shard : public testing::CorpusTest {
  protected:
@@ -57,7 +57,7 @@ TEST_F(Shard, AnyShardCountIsBitIdenticalToTheStreamedRun) {
     EXPECT_EQ(analytics.case_count, reference.log.case_count()) << shards;
     EXPECT_EQ(analytics.total_events, reference.log.total_events()) << shards;
     EXPECT_EQ(analytics.warnings, reference.log.warnings()) << shards;
-    expect_same_io_stats(analytics.io.finalize(), ref_io);
+    expect_same_io_statistics(analytics.io.finalize(), ref_io);
     EXPECT_EQ(analytics.edges.finalize().per_edge(), ref_edges.per_edge()) << shards;
     // The rendered report: BYTE-identical to the streamed one.
     EXPECT_EQ(report::render_sharded_report(analytics, f, report_opts), reference.html)

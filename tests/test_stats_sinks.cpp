@@ -29,7 +29,7 @@ namespace st {
 namespace {
 
 using testing::ev;
-using testing::expect_same_io_stats;
+using testing::expect_same_io_statistics;
 using testing::make_case;
 
 class StatsSinks : public testing::CorpusTest {
@@ -84,7 +84,7 @@ TEST_F(StatsSinks, SinksMatchComputeBitwiseAt1247Workers) {
     pipeline::EdgeStatsSink edge_sink(f);
     (void)pipeline::run(paths, pool, {&io_sink, &edge_sink}, opts);
 
-    expect_same_io_stats(io_sink.finalize(), ref_io);
+    expect_same_io_statistics(io_sink.finalize(), ref_io);
     EXPECT_EQ(edge_sink.finalize().per_edge(), ref_edges.per_edge()) << workers;
   }
 }
@@ -106,7 +106,7 @@ TEST_F(StatsSinks, QueueCapacityOneIsStillBitwiseIdentical) {
     pipeline::EdgeStatsSink edge_sink(f);
     (void)pipeline::run(paths, pool, {&io_sink, &edge_sink}, opts);
 
-    expect_same_io_stats(io_sink.finalize(), ref_io);
+    expect_same_io_statistics(io_sink.finalize(), ref_io);
     EXPECT_EQ(edge_sink.finalize().per_edge(), ref_edges.per_edge()) << workers;
   }
 }
@@ -172,8 +172,8 @@ TEST(IoStatsPartial, MergeGroupingCannotChangeBits) {
 
   EXPECT_EQ(left, serial);
   EXPECT_EQ(right, serial);
-  expect_same_io_stats(left.finalize(), serial.finalize());
-  expect_same_io_stats(right.finalize(), serial.finalize());
+  expect_same_io_statistics(left.finalize(), serial.finalize());
+  expect_same_io_statistics(right.finalize(), serial.finalize());
 }
 
 TEST(EdgeStatsPartial, MergeGroupingCannotChangeMaps) {

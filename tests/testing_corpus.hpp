@@ -114,7 +114,7 @@ inline void expect_same_bits(double a, double b, const std::string& what) {
 
 /// Field-by-field IoStatistics equality with bit-exact doubles,
 /// including the rendered labels the reports embed.
-inline void expect_same_io_stats(const dfg::IoStatistics& a, const dfg::IoStatistics& b) {
+inline void expect_same_io_statistics(const dfg::IoStatistics& a, const dfg::IoStatistics& b) {
   EXPECT_EQ(a.total_duration(), b.total_duration());
   ASSERT_EQ(a.per_activity().size(), b.per_activity().size());
   auto ita = a.per_activity().begin();
