@@ -17,6 +17,7 @@
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "elog/store.hpp"
+#include "elog/v2_store.hpp"
 #include "iosim/commands.hpp"
 #include "support/strings.hpp"
 
@@ -26,7 +27,7 @@ int main() {
   const auto full_log = model::EventLog::merge(iosim::make_ls_traces().to_event_log(),
                                                iosim::make_ls_l_traces().to_event_log());
   std::stringstream container;
-  elog::write_event_log(container, full_log);
+  elog::write_event_log_v2(container, full_log);
   auto event_log = elog::read_event_log(container);
   std::cout << "0) event log: " << event_log.case_count() << " cases, "
             << event_log.total_events() << " events ("

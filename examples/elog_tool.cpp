@@ -7,8 +7,7 @@
 //   ./elog_tool import out.elog a_host1_9042.st... # strace -> elog
 //   ./elog_tool import out.elog a_host1_9042.st... --stream-report r.html
 //                       # same single pass also folds the HTML report
-//   ./elog_tool convert out.elog in.elog           # v1 <-> v2 (lossless)
-//   ./elog_tool convert out.elog in.elog --reindex # old v2 gains indexes
+//   ./elog_tool convert out.elog in.elog           # v1 or v2 -> indexed v2
 //   ./elog_tool stat run.elog [source.st...]       # format/section stats
 //   ./elog_tool fold-shard out.partial a_h1_1.st.. # one shard's partials
 //   ./elog_tool merge-partials r.html s0.partial.. # reduce + render
@@ -17,8 +16,9 @@
 //                       # byte-identical to import --stream-report
 //
 // Commands that write a container produce the columnar mmap-able v2
-// format by default ("import once, analyze many times"); --v1 selects
-// the legacy chunk stream. Readers accept both transparently.
+// format ("import once, analyze many times"), with the advisory index
+// sections unless --no-index. Readers also accept the legacy v1 chunk
+// stream, and convert upgrades it losslessly.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -92,17 +92,10 @@ void write_bytes(const std::string& path, std::string_view bytes) {
   }
 }
 
-void write_log(const std::string& path, const st::model::EventLog& log, bool v1,
-               bool write_index = true) {
-  if (v1) {
-    st::elog::write_event_log_file(path, log);
-  } else {
-    st::elog::write_event_log_v2_file(path, log, st::elog::ElogV2WriterOptions{write_index});
-  }
-}
-
 /// v2 index sections are written unless --no-index asks for a bare file.
-bool write_index_flag(const st::CliParser& cli) { return !cli.get_bool("no-index"); }
+st::elog::ElogV2WriterOptions writer_options(const st::CliParser& cli) {
+  return st::elog::ElogV2WriterOptions{!cli.get_bool("no-index")};
+}
 
 /// First 8 bytes of `path` (the container magic of either version).
 std::string sniff_magic(const std::string& path) {
@@ -220,15 +213,10 @@ int main(int argc, char** argv) {
       "import: also write a single-pass HTML report (DFG + case table + variants, "
       "folded in the same streamed pass that fills the elog) to this file",
       /*takes_path=*/true);
-  cliargs::add_format_flags(cli);
   cli.add_flag("verify", "stat: run the full per-section crc pass", std::nullopt, true);
   cli.add_flag("no-index",
                "write v2 without the advisory index sections (zone maps, id sets, "
                "posting list); readers fall back to the column scan",
-               std::nullopt, true);
-  cli.add_flag("reindex",
-               "convert: (re)build the index sections — the v2 default, spelled out; "
-               "rejects --v1 and --no-index",
                std::nullopt, true);
   cliargs::add_shards_flag(cli, "report-sharded: number of fold-shard worker processes", "2");
   cliargs::add_keep_going_flag(cli, "unreadable trace files / CRC-failing v2 cases");
@@ -258,7 +246,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 2; i < args.size(); ++i) {
         merged = model::EventLog::merge(merged, read_elog(args[i], cli));
       }
-      write_log(args[1], merged, cliargs::write_v1(cli), write_index_flag(cli));
+      elog::write_event_log_v2_file(args[1], merged, writer_options(cli));
       std::cout << "wrote " << merged.case_count() << " cases to " << args[1] << "\n";
     } else if (command == "filter") {
       if (args.size() != 3) throw ParseError("filter takes an output and one input");
@@ -271,76 +259,54 @@ int main(int argc, char** argv) {
       }
       ThreadPool pool(cliargs::thread_count(cli));
       const auto filtered = query.apply(read_elog(args[2], cli), pool);
-      write_log(args[1], filtered, cliargs::write_v1(cli), write_index_flag(cli));
+      elog::write_event_log_v2_file(args[1], filtered, writer_options(cli));
       std::cout << "query [" << query.describe() << "] kept " << filtered.total_events()
                 << " events; wrote " << args[1] << "\n";
     } else if (command == "import") {
       // strace text -> elog container, through the streaming pipeline:
       // zero-copy mmap parse and record -> Case conversion overlap on
-      // one pool (cid_host_rid.st naming required). The default v2
-      // container is written by a sink ON that pass — cases stream
-      // into the file as they convert, byte-identical to a staged
-      // write at any worker count.
+      // one pool (cid_host_rid.st naming required). The container is
+      // written by a sink ON that pass — cases stream into the file as
+      // they convert, byte-identical to a staged write at any worker
+      // count.
       if (args.size() < 3) throw ParseError("import takes an output and >= 1 trace files");
       const std::vector<std::string> files(args.begin() + 2, args.end());
       ThreadPool pool(cliargs::thread_count(cli));
-      const bool v1 = cliargs::write_v1(cli);
       pipeline::StreamOptions stream_opts;
       static_cast<RunPolicy&>(stream_opts) = cliargs::run_policy(cli);
+      elog::ElogV2Writer writer(args[1], writer_options(cli));
+      elog::ElogV2WriterSink sink(writer);
       model::EventLog log;
-      if (v1) {
-        if (cli.has("stream-report")) {
-          auto result =
-              report::streaming_report(files, cliargs::mapping(cli), pool, {}, stream_opts);
-          const std::string& report_path = cli.get("stream-report");
-          std::ofstream out(report_path, std::ios::trunc);
-          if (!out || !(out << result.html)) {
-            throw IoError("cannot write report file: " + report_path);
-          }
-          log = std::move(result.log);
-          std::cout << "wrote single-pass report to " << report_path << "\n";
-        } else {
-          log = pipeline::run(files, pool, {}, stream_opts);
+      if (cli.has("stream-report")) {
+        // One streamed pass, three artifact families: the report's
+        // sinks, the container sink and the assembled log.
+        pipeline::CaseSink* extra[] = {&sink};
+        auto result =
+            report::streaming_report(files, cliargs::mapping(cli), pool, {}, stream_opts, extra);
+        const std::string& report_path = cli.get("stream-report");
+        std::ofstream out(report_path, std::ios::trunc);
+        if (!out || !(out << result.html)) {
+          throw IoError("cannot write report file: " + report_path);
         }
-        elog::write_event_log_file(args[1], log);
+        log = std::move(result.log);
+        std::cout << "wrote single-pass report to " << report_path << "\n";
       } else {
-        elog::ElogV2Writer writer(args[1], elog::ElogV2WriterOptions{write_index_flag(cli)});
-        elog::ElogV2WriterSink sink(writer);
-        if (cli.has("stream-report")) {
-          // One streamed pass, three artifact families: the report's
-          // sinks, the container sink and the assembled log.
-          pipeline::CaseSink* extra[] = {&sink};
-          auto result = report::streaming_report(files, cliargs::mapping(cli), pool, {},
-                                                 stream_opts, extra);
-          const std::string& report_path = cli.get("stream-report");
-          std::ofstream out(report_path, std::ios::trunc);
-          if (!out || !(out << result.html)) {
-            throw IoError("cannot write report file: " + report_path);
-          }
-          log = std::move(result.log);
-          std::cout << "wrote single-pass report to " << report_path << "\n";
-        } else {
-          log = pipeline::run(files, pool, {&sink}, stream_opts);
-        }
-        writer.finalize();
+        log = pipeline::run(files, pool, {&sink}, stream_opts);
       }
+      writer.finalize();
       for (const auto& w : log.warnings()) std::cerr << "warning: " << w << "\n";
       std::cout << "imported " << files.size() << " trace files (" << log.total_events()
                 << " events) into " << args[1] << "\n";
     } else if (command == "convert") {
-      // Lossless re-encode between container versions (the reader
-      // dispatches on magic, so either direction just works). A v2
-      // write always rebuilds the index sections, so converting an
-      // index-free (or pre-index) v2 file upgrades it; --reindex
-      // spells that intent and rejects contradicting flags.
+      // Lossless re-encode into v2 (the reader dispatches on magic, so
+      // the input may be either version): the upgrade path for v1
+      // files. The write rebuilds the index sections unless --no-index,
+      // so converting an index-free (or pre-index) v2 file indexes it.
       if (args.size() != 3) throw ParseError("convert takes an output and one input");
-      if (cli.get_bool("reindex") && (cliargs::write_v1(cli) || cli.get_bool("no-index"))) {
-        throw ParseError("--reindex writes indexed v2; drop --v1/--no-index");
-      }
       const auto log = read_elog(args[2], cli);
-      write_log(args[1], log, cliargs::write_v1(cli), write_index_flag(cli));
-      std::cout << "converted " << args[2] << " -> " << args[1] << " ("
-                << (cliargs::write_v1(cli) ? "v1" : "v2") << ", " << log.case_count() << " cases)\n";
+      elog::write_event_log_v2_file(args[1], log, writer_options(cli));
+      std::cout << "converted " << args[2] << " -> " << args[1] << " (v2, " << log.case_count()
+                << " cases)\n";
     } else if (command == "stat") {
       if (args.size() < 2) throw ParseError("stat takes an elog file [+ source traces]");
       const std::vector<std::string> sources(args.begin() + 2, args.end());

@@ -59,6 +59,16 @@ st::model::Query query_from_flags(const st::CliParser& cli) {
   return q;
 }
 
+/// --timeline's activity, with the literal two-character sequence "\n"
+/// of the command line turned into the call/path separator.
+std::string timeline_activity(const st::CliParser& cli) {
+  std::string activity = cli.get("timeline");
+  if (const auto pos = activity.find("\\n"); pos != std::string::npos) {
+    activity.replace(pos, 2, "\n");
+  }
+  return activity;
+}
+
 int run_serve(const st::CliParser& cli) {
   using namespace st;
   // A client that disconnects mid-reply must cost an EPIPE error on
@@ -146,18 +156,18 @@ int main(int argc, char** argv) {
       report::ReportOptions report_opts;
       report_opts.title = "trace_explorer report";
       report_opts.description = "single-pass streaming report, mapping: " + f.name();
-      if (cli.has("timeline")) {
-        std::string activity = cli.get("timeline");
-        if (const auto pos = activity.find("\\n"); pos != std::string::npos) {
-          activity.replace(pos, 2, "\n");
-        }
-        report_opts.timeline_activity = std::move(activity);
-      }
+      if (cli.has("timeline")) report_opts.timeline_activity = timeline_activity(cli);
       const auto result =
           report::streaming_report(cli.positional(), f, pool, report_opts, stream_opts);
       for (const auto& w : result.log.warnings()) std::cerr << "warning: " << w << "\n";
       std::cout << result.html;
       return 0;
+    }
+    if (cli.has("timeline") && cli.has("render")) {
+      // --timeline prints the ASCII timeline INSTEAD of a rendering; a
+      // --render beside it would be silently dropped.
+      throw ParseError("--timeline prints only the activity timeline; drop --render (or use "
+                       "--stream-report --timeline for a report that embeds it)");
     }
     const auto query = query_from_flags(cli);
     const bool restricted = cli.has("filter") || cli.has("query");
@@ -233,11 +243,7 @@ int main(int argc, char** argv) {
     const auto stats = streamed_io ? streamed_io->finalize() : dfg::IoStatistics::compute(log, f);
 
     if (cli.has("timeline")) {
-      // Allow the literal two-character sequence "\n" on the command line.
-      std::string activity = cli.get("timeline");
-      if (const auto pos = activity.find("\\n"); pos != std::string::npos) {
-        activity.replace(pos, 2, "\n");
-      }
+      const std::string activity = timeline_activity(cli);
       std::cout << dfg::render_timeline(streamed_io
                                             ? streamed_io->timeline(activity)
                                             : dfg::IoStatistics::timeline(log, f, activity));

@@ -17,11 +17,6 @@ void put_u64(std::string& out, std::uint64_t v) {
 
 void put_i64(std::string& out, std::int64_t v) { put_u64(out, static_cast<std::uint64_t>(v)); }
 
-void put_string(std::string& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
 std::uint32_t load_u32(const char* p) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -66,18 +61,6 @@ std::string PayloadReader::str() {
   std::string s(data_.substr(pos_, len));
   pos_ += len;
   return s;
-}
-
-void write_chunk(std::ostream& out, const ChunkTag& tag, std::string_view payload) {
-  out.write(tag.data(), static_cast<std::streamsize>(tag.size()));
-  std::string header;
-  put_u64(header, payload.size());
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  std::string crc;
-  put_u32(crc, Crc32::of(payload.data(), payload.size()));
-  out.write(crc.data(), static_cast<std::streamsize>(crc.size()));
-  if (!out) throw IoError("elog write failed");
 }
 
 Chunk read_chunk(std::istream& in) {

@@ -14,12 +14,13 @@
 //
 // Every chunk is CRC-checked on read; corruption surfaces as IoError
 // instead of silently wrong analysis. All integers are little-endian.
+// v1 is read-only: the writers produce v2 (v2_format.hpp), which
+// shares the little-endian primitives below.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,7 +47,6 @@ inline constexpr ChunkTag kTagFileEnd = {'F', 'E', 'N', 'D'};
 void put_u32(std::string& out, std::uint32_t v);
 void put_u64(std::string& out, std::uint64_t v);
 void put_i64(std::string& out, std::int64_t v);
-void put_string(std::string& out, std::string_view s);  // u32 len + bytes
 
 // Raw loads/stores shared by the v1 reader and the v2 mmap views: byte
 // assembly only (the compiler folds it to a single mov on
@@ -78,9 +78,6 @@ class PayloadReader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
-
-/// Writes one chunk (tag + length + payload + crc).
-void write_chunk(std::ostream& out, const ChunkTag& tag, std::string_view payload);
 
 struct Chunk {
   ChunkTag tag{};

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "elog/format.hpp"
 #include "elog/v2_store.hpp"
@@ -13,73 +12,6 @@
 namespace st::elog {
 
 namespace {
-
-/// Per-case string dictionary: intern() assigns dense ids in first-use
-/// order so the pool chunk is written before the columns referencing it.
-class StringPool {
- public:
-  std::uint32_t intern(std::string_view s) {
-    // Heterogeneous lookup: the per-event hot path (every call/fp of
-    // every event) must not allocate for already-interned strings.
-    const auto it = ids_.find(s);
-    if (it != ids_.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(strings_.size());
-    strings_.emplace_back(s);
-    ids_.emplace(strings_.back(), id);
-    return id;
-  }
-
-  [[nodiscard]] const std::vector<std::string>& strings() const { return strings_; }
-
- private:
-  struct SvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, std::uint32_t, SvHash, std::equal_to<>> ids_;
-  std::vector<std::string> strings_;
-};
-
-void write_case(std::ostream& out, const model::Case& c) {
-  // CHDR: canonical case name.
-  std::string header;
-  put_string(header, strace::format_trace_filename(
-                         strace::TraceFileId{c.id().cid, c.id().host, c.id().rid}));
-  write_chunk(out, kTagCaseHeader, header);
-
-  StringPool pool;
-  std::string col_pid;
-  std::string col_call;
-  std::string col_start;
-  std::string col_dur;
-  std::string col_fp;
-  std::string col_size;
-  const auto events = c.events();
-  put_u64(col_pid, events.size());
-  for (const model::Event& e : events) {
-    put_u64(col_pid, e.pid);
-    put_u32(col_call, pool.intern(e.call));
-    put_i64(col_start, e.start);
-    put_i64(col_dur, e.dur);
-    put_u32(col_fp, pool.intern(e.fp));
-    put_i64(col_size, e.size);
-  }
-
-  std::string pool_payload;
-  put_u32(pool_payload, static_cast<std::uint32_t>(pool.strings().size()));
-  for (const auto& s : pool.strings()) put_string(pool_payload, s);
-  write_chunk(out, kTagPool, pool_payload);
-
-  write_chunk(out, kTagColPid, col_pid);
-  write_chunk(out, kTagColCall, col_call);
-  write_chunk(out, kTagColStart, col_start);
-  write_chunk(out, kTagColDur, col_dur);
-  write_chunk(out, kTagColFp, col_fp);
-  write_chunk(out, kTagColSize, col_size);
-  write_chunk(out, kTagCaseEnd, {});
-}
 
 /// Rebuilds one case. The events' string fields are interned into
 /// `arena` (owned by the destination EventLog), so the views stay
@@ -169,26 +101,6 @@ model::Case read_case(std::istream& in, const Chunk& header, strace::StringArena
   return model::Case(model::CaseId{id->cid, id->host, id->rid}, std::move(events));
 }
 
-}  // namespace
-
-void write_event_log(std::ostream& out, const model::EventLog& log) {
-  out.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
-  std::string count;
-  put_u64(count, log.case_count());
-  out.write(count.data(), static_cast<std::streamsize>(count.size()));
-  for (const model::Case& c : log.cases()) write_case(out, c);
-  write_chunk(out, kTagFileEnd, {});
-  if (!out) throw IoError("elog write failed");
-}
-
-void write_event_log_file(const std::string& path, const model::EventLog& log) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw IoError("cannot create elog file: " + path);
-  write_event_log(out, log);
-}
-
-namespace {
-
 /// Remainder of the v1 reader, after the magic has been consumed.
 model::EventLog read_event_log_v1_body(std::istream& in) {
   std::array<char, 8> count_bytes{};
@@ -237,10 +149,6 @@ model::EventLog read_event_log(std::istream& in) {
     return read_event_log_v2(MappedElog::from_buffer(std::move(buffer)));
   }
   throw IoError("elog: bad magic");
-}
-
-model::EventLog read_event_log_file(const std::string& path) {
-  return read_event_log_file(path, ElogReadOptions{});
 }
 
 model::EventLog read_event_log_file(const std::string& path, const ElogReadOptions& opts) {

@@ -1,16 +1,15 @@
-// elog store: EventLog <-> container (file or stream).
+// elog store: read either container version into an EventLog.
 //
-// Mirrors the paper's HDF5 layout: one group per case with columns
-// pid / call / start / dur / fp / size sorted by start. call and fp
-// are dictionary-encoded against a per-case string pool (file paths
-// repeat heavily in syscall traces, so this is also the main size
-// win). Writing preserves case order; reading rebuilds Cases whose
-// events are re-sorted by start (idempotent for valid files).
+// v1 ("STELOG1\n", format.hpp) mirrors the paper's HDF5 layout: one
+// group per case with columns pid / call / start / dur / fp / size,
+// call and fp dictionary-encoded against a per-case string pool. It is
+// read-only: every writer produces v2 (v2_store.hpp), and
+// `elog_tool convert` upgrades old v1 files. Reading rebuilds Cases
+// whose events are re-sorted by start (idempotent for valid files).
 #pragma once
 
 #include <istream>
 #include <memory>
-#include <ostream>
 #include <string>
 
 #include "model/event_log.hpp"
@@ -20,18 +19,6 @@ namespace st::elog {
 
 class MappedElog;
 
-/// Serializes a whole event log.
-void write_event_log(std::ostream& out, const model::EventLog& log);
-void write_event_log_file(const std::string& path, const model::EventLog& log);
-
-/// Deserializes either container version (the 8-byte magic is sniffed;
-/// STELOG1 parses the chunk stream, STELOG2 dispatches to the columnar
-/// reader in v2_store.hpp — read_event_log_file uses its mmap fast
-/// path). Throws IoError on truncation/corruption and ParseError on
-/// malformed case names.
-[[nodiscard]] model::EventLog read_event_log(std::istream& in);
-[[nodiscard]] model::EventLog read_event_log_file(const std::string& path);
-
 /// keep_going (inherited RunPolicy, support/run_policy.hpp) == true: a
 /// v2 case section failing CRC is quarantined with a warning on the
 /// returned log instead of aborting the read (v2_store.hpp
@@ -39,9 +26,14 @@ void write_event_log_file(const std::string& path, const model::EventLog& log);
 /// has no per-case recovery boundary.
 struct ElogReadOptions : RunPolicy {};
 
-/// Graceful-degradation variant of read_event_log_file.
+/// Deserializes either container version (the 8-byte magic is sniffed;
+/// STELOG1 parses the chunk stream, STELOG2 dispatches to the columnar
+/// reader in v2_store.hpp — read_event_log_file uses its mmap fast
+/// path). Throws IoError on truncation/corruption and ParseError on
+/// malformed case names.
+[[nodiscard]] model::EventLog read_event_log(std::istream& in);
 [[nodiscard]] model::EventLog read_event_log_file(const std::string& path,
-                                                  const ElogReadOptions& opts);
+                                                  const ElogReadOptions& opts = {});
 
 /// read_event_log_file plus the mapped container handle when (and only
 /// when) the file is a CLEANLY-read v2 corpus: no quarantined cases, so

@@ -75,6 +75,30 @@ FooterV2 load_footer(std::string_view file) {
   return f;
 }
 
+std::uint32_t StringPool::intern(std::string_view s) {
+  if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
+  if (blob_bytes_ + s.size() > 0xFFFFFFFFull) throw IoError("string pool exceeds 4 GiB");
+  const auto id = static_cast<std::uint32_t>(strings_.size());
+  strings_.emplace_back(s);
+  ids_.emplace(strings_.back(), id);
+  blob_bytes_ += s.size();
+  return id;
+}
+
+std::string StringPool::payload() const {
+  std::string out;
+  out.reserve(8 + strings_.size() * 4 + blob_bytes_);
+  put_u32(out, static_cast<std::uint32_t>(strings_.size()));
+  put_u32(out, 0);  // reserved; readers require zero
+  std::uint32_t end = 0;
+  for (const std::string& s : strings_) {
+    end += static_cast<std::uint32_t>(s.size());
+    put_u32(out, end);
+  }
+  for (const std::string& s : strings_) out.append(s);
+  return out;
+}
+
 void put_uvarint(std::string& out, std::uint64_t v) {
   while (v >= 0x80) {
     out.push_back(static_cast<char>((v & 0x7F) | 0x80));

@@ -73,8 +73,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "elog/format.hpp"
 
@@ -147,6 +150,38 @@ void put_footer(std::string& out, const FooterV2& f);
 /// Parses and structurally validates the 32-byte footer at the tail of
 /// `file` (magic, reserved field, table bounds). Throws IoError.
 [[nodiscard]] FooterV2 load_footer(std::string_view file);
+
+// -- string pool (kind 1) ---------------------------------------------
+
+/// Interning string dictionary behind every pool this repo writes: the
+/// v2 file-level pool and the partial blob's pool
+/// (pipeline/partial_codec.hpp) share it and its payload
+/// `u32 count | u32 reserved(0) | u32 end_offset[count] | blob`. Ids are
+/// dense in first-use order; interning a string already present does
+/// not allocate (heterogeneous lookup), which matters because the
+/// import path interns every event's call and fp.
+class StringPool {
+ public:
+  /// Id of `s`, interning it on first use. Throws IoError when the
+  /// blob would outgrow its u32 end offsets (4 GiB).
+  [[nodiscard]] std::uint32_t intern(std::string_view s);
+
+  [[nodiscard]] std::size_t size() const { return strings_.size(); }
+
+  /// The pool section payload (layout above).
+  [[nodiscard]] std::string payload() const;
+
+ private:
+  struct SvHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, std::uint32_t, SvHash, std::equal_to<>> ids_;
+  std::vector<std::string> strings_;
+  std::uint64_t blob_bytes_ = 0;
+};
 
 // -- varint (zigzag LEB128) --------------------------------------------
 

@@ -153,19 +153,6 @@ void ElogV2Writer::add_section(SectionKind kind, std::uint32_t case_index,
   write_raw(payload);
 }
 
-std::uint32_t ElogV2Writer::intern(std::string_view s) {
-  const auto it = pool_ids_.find(s);
-  if (it != pool_ids_.end()) return it->second;
-  if (pool_blob_bytes_ + s.size() > 0xFFFFFFFFull) {
-    throw IoError("elog v2: string pool exceeds 4 GiB");
-  }
-  const auto id = static_cast<std::uint32_t>(pool_strings_.size());
-  pool_strings_.emplace_back(s);
-  pool_ids_.emplace(pool_strings_.back(), id);
-  pool_blob_bytes_ += s.size();
-  return id;
-}
-
 void ElogV2Writer::append(const model::Case& c) { append_encoded(encode_case(c)); }
 
 void ElogV2Writer::append_encoded(EncodedCase&& ec) {
@@ -174,11 +161,11 @@ void ElogV2Writer::append_encoded(EncodedCase&& ec) {
   // Intern in the exact order a staged write would (cid, host, then the
   // case-local dictionary in first-use order) — this is what makes the
   // streamed sink's file byte-identical to the staged one.
-  const std::uint32_t cid_id = intern(ec.cid);
-  const std::uint32_t host_id = intern(ec.host);
+  const std::uint32_t cid_id = pool_.intern(ec.cid);
+  const std::uint32_t host_id = pool_.intern(ec.host);
   std::vector<std::uint32_t> remap;
   remap.reserve(ec.strings.size());
-  for (const std::string_view s : ec.strings) remap.push_back(intern(s));
+  for (const std::string_view s : ec.strings) remap.push_back(pool_.intern(s));
   // Rewrite the id columns from case-local to file-level ids in place.
   for (std::string* col : {&ec.col_call, &ec.col_fp}) {
     for (std::size_t off = 0; off < col->size(); off += 4) {
@@ -227,16 +214,7 @@ void ElogV2Writer::append_encoded(EncodedCase&& ec) {
 
 void ElogV2Writer::finalize() {
   if (finalized_) return;
-  std::string pool_payload;
-  put_u32(pool_payload, static_cast<std::uint32_t>(pool_strings_.size()));
-  put_u32(pool_payload, 0);  // reserved; readers require zero
-  std::uint64_t end = 0;
-  for (const auto& s : pool_strings_) {
-    end += s.size();
-    put_u32(pool_payload, static_cast<std::uint32_t>(end));
-  }
-  for (const auto& s : pool_strings_) pool_payload.append(s);
-  add_section(SectionKind::kStringPool, 0, pool_payload);
+  add_section(SectionKind::kStringPool, 0, pool_.payload());
   add_section(SectionKind::kCaseDirectory, 0, directory_);
   if (opts_.write_index) {
     add_section(SectionKind::kZoneMap, 0, zones_);

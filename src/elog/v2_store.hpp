@@ -32,7 +32,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "elog/v2_format.hpp"
@@ -124,21 +123,12 @@ class ElogV2Writer {
   void write_raw(std::string_view bytes);
   void add_section(SectionKind kind, std::uint32_t case_index, std::string_view payload,
                    std::uint32_t aux = 0);
-  [[nodiscard]] std::uint32_t intern(std::string_view s);
 
   std::ofstream owned_out_;  ///< backing stream for the path ctor
   std::ostream* out_;
   std::uint64_t offset_ = 0;
   std::vector<SectionEntry> entries_;
-  struct SvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, std::uint32_t, SvHash, std::equal_to<>> pool_ids_;
-  std::vector<std::string> pool_strings_;
-  std::uint64_t pool_blob_bytes_ = 0;
+  StringPool pool_;
   std::string directory_;
   std::size_t cases_ = 0;
   bool finalized_ = false;

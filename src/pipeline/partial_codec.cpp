@@ -121,14 +121,6 @@ void put_variant_counts(PartialWriter& w, std::string& out, const model::Variant
 
 // ---- PartialWriter -----------------------------------------------------
 
-std::uint32_t PartialWriter::intern(std::string_view s) {
-  if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(strings_.size());
-  strings_.emplace_back(s);
-  ids_.emplace(strings_.back(), id);
-  return id;
-}
-
 void PartialWriter::add_section(PartialSection kind, std::string payload) {
   for (const auto& [existing, bytes] : sections_) {
     if (existing == kind) throw LogicError("partial blob: duplicate section kind");
@@ -137,16 +129,6 @@ void PartialWriter::add_section(PartialSection kind, std::string payload) {
 }
 
 std::string PartialWriter::finish() const {
-  std::string pool;
-  put_u32(pool, static_cast<std::uint32_t>(strings_.size()));
-  put_u32(pool, 0);
-  std::uint32_t end = 0;
-  for (const std::string& s : strings_) {
-    end += static_cast<std::uint32_t>(s.size());
-    put_u32(pool, end);
-  }
-  for (const std::string& s : strings_) pool.append(s);
-
   std::string out{kPartialMagic};
   put_u32(out, static_cast<std::uint32_t>(1 + sections_.size()));
   const auto emit = [&out](PartialSection kind, std::string_view payload) {
@@ -156,7 +138,7 @@ std::string PartialWriter::finish() const {
     out.append(payload);
     put_u32(out, Crc32::of(payload.data(), payload.size()));
   };
-  emit(PartialSection::kStringPool, pool);
+  emit(PartialSection::kStringPool, pool_.payload());
   for (const auto& [kind, payload] : sections_) emit(kind, payload);
   return out;
 }

@@ -26,6 +26,7 @@
 //
 // Section kinds:
 //   1 StringPool   u32 count | u32 reserved(0) | u32 end_offset[count] | blob
+//                  (elog::StringPool, the v2 container's pool payload)
 //   2 Meta         case_count, total_events, ingestion warnings,
 //                  data-health counters (requested/ingested/skipped/
 //                  quarantined)
@@ -39,15 +40,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dfg/dfg.hpp"
 #include "dfg/edge_stats.hpp"
 #include "dfg/stats.hpp"
+#include "elog/v2_format.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
 #include "pipeline/sink.hpp"
@@ -73,7 +73,7 @@ enum class PartialSection : std::uint32_t {
 class PartialWriter {
  public:
   /// Pool id of `s`, interning it on first use.
-  [[nodiscard]] std::uint32_t intern(std::string_view s);
+  [[nodiscard]] std::uint32_t intern(std::string_view s) { return pool_.intern(s); }
 
   /// Adds a section (one per kind; LogicError on duplicates).
   void add_section(PartialSection kind, std::string payload);
@@ -81,15 +81,7 @@ class PartialWriter {
   [[nodiscard]] std::string finish() const;
 
  private:
-  struct SvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  std::vector<std::string> strings_;
-  std::unordered_map<std::string, std::uint32_t, SvHash, std::equal_to<>> ids_;
+  elog::StringPool pool_;
   std::vector<std::pair<PartialSection, std::string>> sections_;
 };
 

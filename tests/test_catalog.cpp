@@ -2,7 +2,7 @@
 // artifacts, and the serve request loop in front of it.
 //
 //   - loading mixes traces like the offline pipeline (byte-identical
-//     base log);
+//     base log), and a v1 container loads with the same events;
 //   - hit/miss/evict semantics of the LRU memo table, including
 //     single-flight deduplication under a stampede;
 //   - cached artifacts are byte-identical to uncached recomputation
@@ -27,6 +27,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,6 +45,7 @@
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
 #include "report/report.hpp"
+#include "elog_v1_fixture.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
 
@@ -80,6 +82,22 @@ TEST_F(CatalogTest, LoadMatchesTheOfflinePipeline) {
   st::testing::expect_same_log(*catalog.base(), offline);
   // warnings live on load_warnings(), the base log itself keeps them too
   EXPECT_EQ(catalog.load_warnings(), offline.warnings());
+}
+
+TEST_F(CatalogTest, LoadsAV1ContainerWithTheSameEvents) {
+  ThreadPool pool(2);
+  const auto offline = pipeline::run(corpus_, pool, {});
+  const std::string path = (dir_ / "corpus_v1.elog").string();
+  st::testing::write_event_log_v1_file(path, offline);
+  Catalog catalog(CatalogOptions{});
+  catalog.load({path}, pool);
+  const model::EventLog& base = *catalog.base();
+  ASSERT_EQ(base.case_count(), offline.case_count());
+  for (std::size_t c = 0; c < base.case_count(); ++c) {
+    ASSERT_EQ(base.cases()[c].id(), offline.cases()[c].id());
+    ASSERT_TRUE(std::ranges::equal(base.cases()[c].events(), offline.cases()[c].events()))
+        << "case " << c;
+  }
 }
 
 TEST_F(CatalogTest, HitMissEvictSemantics) {

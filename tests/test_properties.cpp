@@ -12,6 +12,7 @@
 #include "dfg/builder.hpp"
 #include "dfg/validate.hpp"
 #include "elog/store.hpp"
+#include "elog/v2_store.hpp"
 #include "strace/parser.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
@@ -119,7 +120,7 @@ TEST_P(PipelineProperty, ElogRoundTripPreservesEverything) {
   Xoshiro256 rng(GetParam());
   const auto log = random_event_log(rng, 12);
   std::stringstream buf;
-  elog::write_event_log(buf, log);
+  elog::write_event_log_v2(buf, log);
   const auto reloaded = elog::read_event_log(buf);
   ASSERT_EQ(reloaded.case_count(), log.case_count());
   for (std::size_t i = 0; i < log.case_count(); ++i) {

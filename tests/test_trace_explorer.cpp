@@ -1,13 +1,6 @@
 // The built trace_explorer CLI, run as a subprocess. ST_TRACE_EXPLORER
 // points at the binary (ctest sets it); without it these tests skip.
-#include <fcntl.h>
-#include <spawn.h>
-#include <sys/wait.h>
-
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,65 +8,26 @@
 
 #include "elog/v2_format.hpp"
 #include "elog/v2_store.hpp"
+#include "elog_v1_fixture.hpp"
+#include "testing_cli.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
-
-extern char** environ;
 
 namespace st {
 namespace {
 
+using testing::CliRun;
 using testing::ev;
 using testing::make_case;
 
-const char* trace_explorer_exe() {
-  const char* exe = std::getenv("ST_TRACE_EXPLORER");
-  if (exe == nullptr || *exe == '\0' || !std::filesystem::exists(exe)) return nullptr;
-  return exe;
-}
-
-std::string slurp(const std::filesystem::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-struct CliRun {
-  int status = -1;  ///< exit status (-1: did not exit normally)
-  std::string out;
-  std::string err;
-};
+const char* trace_explorer_exe() { return testing::exe_from_env("ST_TRACE_EXPLORER"); }
 
 class TraceExplorerCli : public testing::CorpusTest {
  protected:
   TraceExplorerCli() : CorpusTest("st_trace_explorer") {}
 
-  /// Runs `exe args...` with stdout and stderr captured in files.
   CliRun run_cli(const char* exe, const std::vector<std::string>& args) {
-    const std::string out_path = (dir_ / "stdout.txt").string();
-    const std::string err_path = (dir_ / "stderr.txt").string();
-    std::vector<char*> argv = {const_cast<char*>(exe)};
-    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    posix_spawn_file_actions_t actions;
-    ::posix_spawn_file_actions_init(&actions);
-    ::posix_spawn_file_actions_addopen(&actions, 1, out_path.c_str(),
-                                       O_WRONLY | O_CREAT | O_TRUNC, 0600);
-    ::posix_spawn_file_actions_addopen(&actions, 2, err_path.c_str(),
-                                       O_WRONLY | O_CREAT | O_TRUNC, 0600);
-    pid_t pid = 0;
-    const int rc = ::posix_spawn(&pid, exe, &actions, nullptr, argv.data(), environ);
-    ::posix_spawn_file_actions_destroy(&actions);
-    CliRun r;
-    if (rc != 0) return r;
-    int wstatus = 0;
-    if (::waitpid(pid, &wstatus, 0) == pid && WIFEXITED(wstatus)) {
-      r.status = WEXITSTATUS(wstatus);
-    }
-    r.out = slurp(out_path);
-    r.err = slurp(err_path);
-    return r;
+    return testing::run_cli(exe, args, dir_);
   }
 };
 
@@ -119,6 +73,53 @@ TEST_F(TraceExplorerCli, KeepGoingPrintsQuarantinedCasesOfAV2Container) {
   EXPECT_NE(r.out.find("a_host1_1"), std::string::npos) << r.out;
   EXPECT_EQ(r.out.find("b_host1_2"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("c_host1_3"), std::string::npos) << r.out;
+}
+
+TEST_F(TraceExplorerCli, TimelineRejectsAnExplicitRender) {
+  const char* exe = trace_explorer_exe();
+  if (exe == nullptr) GTEST_SKIP() << "ST_TRACE_EXPLORER unset or not built";
+  // No inputs: the built-in ls / ls -l demo traces.
+  const std::string activity = "openat\\n/usr/lib";
+  const CliRun alone = run_cli(exe, {"--timeline", activity});
+  EXPECT_EQ(alone.status, 0) << alone.err;
+  EXPECT_FALSE(alone.out.empty());
+
+  // --render would be silently dropped: a usage error instead.
+  const CliRun both = run_cli(exe, {"--timeline", activity, "--render", "report"});
+  EXPECT_EQ(both.status, 1);
+  EXPECT_EQ(both.out.find("<html"), std::string::npos) << both.out;
+  EXPECT_NE(both.err.find("--timeline"), std::string::npos) << both.err;
+  EXPECT_NE(both.err.find("usage"), std::string::npos) << both.err;
+}
+
+TEST_F(TraceExplorerCli, StreamReportEmbedsTheTimeline) {
+  const char* exe = trace_explorer_exe();
+  if (exe == nullptr) GTEST_SKIP() << "ST_TRACE_EXPLORER unset or not built";
+  const auto paths = make_corpus();
+  std::vector<std::string> args = {"--stream-report", "--timeline", "read\\n/p/data"};
+  args.insert(args.end(), paths.begin(), paths.end());
+  const CliRun r = run_cli(exe, args);
+  EXPECT_EQ(r.status, 0) << r.err;
+  EXPECT_NE(r.out.find("<html"), std::string::npos);
+  EXPECT_NE(r.out.find("Timeline"), std::string::npos);
+}
+
+TEST_F(TraceExplorerCli, V1ContainerReadsLikeItsV2Upgrade) {
+  const char* exe = trace_explorer_exe();
+  if (exe == nullptr) GTEST_SKIP() << "ST_TRACE_EXPLORER unset or not built";
+  model::EventLog log;
+  log.add_case(make_case("a", 1, {ev("openat", "/p/x", 0, 5), ev("read", "/p/x", 6, 9, 64)}));
+  log.add_case(make_case("b", 2, {ev("write", "/p/y", 5, 7, 32)}));
+  const std::string v1 = (dir_ / "old.elog").string();
+  const std::string v2 = (dir_ / "new.elog").string();
+  testing::write_event_log_v1_file(v1, log);
+  elog::write_event_log_v2_file(v2, log);
+  for (const char* render : {"summary", "stats", "report"}) {
+    const CliRun from_v1 = run_cli(exe, {v1, "--render", render});
+    const CliRun from_v2 = run_cli(exe, {v2, "--render", render});
+    EXPECT_EQ(from_v1.status, 0) << from_v1.err;
+    EXPECT_EQ(from_v1.out, from_v2.out) << render;
+  }
 }
 
 }  // namespace
